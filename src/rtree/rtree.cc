@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
-#include <numeric>
+#include <utility>
 
 #include "common/logging.h"
+#include "rtree/choose_subtree.h"
 
 namespace rsj {
 
@@ -62,96 +62,42 @@ void RTree::Insert(const Rect& rect, uint32_t object_id) {
 
 void RTree::InsertAtLevel(const Entry& entry, int target_level) {
   RSJ_CHECK(target_level < height_);
-  PlaceEntry(DescendPath(entry.rect, target_level), entry);
+  std::vector<Node> nodes;
+  const std::vector<PageId> path =
+      DescendPath(entry.rect, target_level, &nodes);
+  PlaceEntry(path, std::move(nodes), entry);
 }
 
-std::vector<PageId> RTree::DescendPath(const Rect& rect,
-                                       int target_level) const {
+std::vector<PageId> RTree::DescendPath(const Rect& rect, int target_level,
+                                       std::vector<Node>* nodes) const {
   std::vector<PageId> path{root_};
-  Node node = Node::Load(*file_, root_);
-  while (node.level > target_level) {
-    const size_t child_index = ChooseSubtree(node, rect);
-    const PageId child = node.entries[child_index].ref;
+  nodes->clear();
+  nodes->push_back(Node::Load(*file_, root_));
+  while (nodes->back().level > target_level) {
+    const Node& node = nodes->back();
+    const PageId child = node.entries[ChooseSubtree(node, rect)].ref;
     path.push_back(child);
-    node = Node::Load(*file_, child);
+    nodes->push_back(Node::Load(*file_, child));
   }
-  RSJ_CHECK(node.level == target_level);
+  RSJ_CHECK(nodes->back().level == target_level);
   return path;
 }
 
 size_t RTree::ChooseSubtree(const Node& node, const Rect& rect) const {
   RSJ_CHECK(!node.is_leaf());
-  RSJ_CHECK(!node.entries.empty());
-  const size_t n = node.entries.size();
-
   // R*: at the level above the leaves, choose the entry whose rectangle
   // needs the least *overlap enlargement* w.r.t. its siblings; the exact
   // computation is restricted to the least-area-enlargement candidates.
   if (options_.split_policy == SplitPolicy::kRStar && node.level == 1) {
-    // Enlargements are precomputed once; the comparator must not recompute
-    // them (M log M extra area computations per insert otherwise).
-    std::vector<double> enlargement_of(n);
-    for (size_t i = 0; i < n; ++i) {
-      enlargement_of[i] = node.entries[i].rect.Enlargement(rect);
-    }
-    std::vector<size_t> candidates(n);
-    std::iota(candidates.begin(), candidates.end(), size_t{0});
-    const size_t limit = options_.choose_subtree_candidates;
-    if (limit > 0 && n > limit) {
-      std::partial_sort(candidates.begin(),
-                        candidates.begin() + static_cast<ptrdiff_t>(limit),
-                        candidates.end(), [&](size_t a, size_t b) {
-                          return enlargement_of[a] < enlargement_of[b];
-                        });
-      candidates.resize(limit);
-    }
-    size_t best = candidates[0];
-    double best_overlap_delta = std::numeric_limits<double>::infinity();
-    double best_enlargement = std::numeric_limits<double>::infinity();
-    double best_area = std::numeric_limits<double>::infinity();
-    for (const size_t c : candidates) {
-      const Rect& rc = node.entries[c].rect;
-      const Rect grown = rc.Union(rect);
-      double overlap_delta = 0.0;
-      for (size_t j = 0; j < n; ++j) {
-        if (j == c) continue;
-        const Rect& rj = node.entries[j].rect;
-        overlap_delta += grown.OverlapArea(rj) - rc.OverlapArea(rj);
-      }
-      const double enlargement = enlargement_of[c];
-      const double area = rc.Area();
-      if (overlap_delta < best_overlap_delta ||
-          (overlap_delta == best_overlap_delta &&
-           (enlargement < best_enlargement ||
-            (enlargement == best_enlargement && area < best_area)))) {
-        best = c;
-        best_overlap_delta = overlap_delta;
-        best_enlargement = enlargement;
-        best_area = area;
-      }
-    }
-    return best;
+    return ChooseLeastOverlapEnlargement(node.entries, rect,
+                                         options_.choose_subtree_candidates);
   }
-
-  // All other levels/policies: least area enlargement, ties by least area.
-  size_t best = 0;
-  double best_enlargement = std::numeric_limits<double>::infinity();
-  double best_area = std::numeric_limits<double>::infinity();
-  for (size_t i = 0; i < n; ++i) {
-    const double enlargement = node.entries[i].rect.Enlargement(rect);
-    const double area = node.entries[i].rect.Area();
-    if (enlargement < best_enlargement ||
-        (enlargement == best_enlargement && area < best_area)) {
-      best = i;
-      best_enlargement = enlargement;
-      best_area = area;
-    }
-  }
-  return best;
+  return ChooseLeastAreaEnlargement(node.entries, rect);
 }
 
-void RTree::PlaceEntry(const std::vector<PageId>& path, const Entry& entry) {
-  Node node = Node::Load(*file_, path.back());
+void RTree::PlaceEntry(const std::vector<PageId>& path, std::vector<Node> nodes,
+                       const Entry& entry) {
+  Node& node = nodes.back();
   // Keep node entries ordered by their rectangles' lower x coordinate.
   // The order inside a node is semantically free; keeping it (nearly)
   // sorted makes the joins' sort-page-on-read step cheap, the option §4.2
@@ -161,12 +107,31 @@ void RTree::PlaceEntry(const std::vector<PageId>& path, const Entry& entry) {
                                 return a.rect.xl < b.rect.xl;
                               });
   node.entries.insert(pos, entry);
-  if (node.entries.size() <= capacity_) {
-    node.Store(file_, path.back());
-    UpdatePathMbrs(path);
+  if (node.entries.size() > capacity_) {
+    HandleOverflow(path, std::move(node));
     return;
   }
-  HandleOverflow(path, std::move(node));
+  node.Store(file_, path.back());
+
+  // Nothing left the subtree, so every ancestor's entry only grows:
+  // parent rectangles are exact MBRs (Validate checks it) and union is
+  // exact min/max, so the new MBR of the child at path[i + 1] equals its
+  // old entry rectangle ∪ entry.rect in value, with no reload and no
+  // rescan of the child's entries. Floats have one encoding per value
+  // except ±0, so when the grown rectangle has a zero coordinate the MBR
+  // is recomputed by the fold of ComputeMbr instead, whose first-occurrence
+  // tie-break fixes the sign bit exactly as UpdatePathMbrs would. The walk
+  // stops at the first entry that does not change, as UpdatePathMbrs does.
+  for (size_t i = path.size() - 1; i-- > 0;) {
+    Entry* e = FindChildEntry(&nodes[i], path[i + 1]);
+    Rect grown = e->rect.Union(entry.rect);
+    if (grown == e->rect) return;
+    if (grown.xl == 0 || grown.yl == 0 || grown.xu == 0 || grown.yu == 0) {
+      grown = nodes[i + 1].ComputeMbr();
+    }
+    e->rect = grown;
+    nodes[i].Store(file_, path[i]);
+  }
 }
 
 void RTree::HandleOverflow(std::vector<PageId> path, Node node) {
@@ -187,13 +152,17 @@ void RTree::ReInsertEntries(std::vector<PageId> path, Node node) {
   const Rect center_rect{center.x, center.y, center.x, center.y};
   const size_t n = node.entries.size();
 
-  // Select the p entries farthest from the node's MBR center.
-  std::vector<size_t> order(n);
-  std::iota(order.begin(), order.end(), size_t{0});
-  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return node.entries[a].rect.CenterDistance2(center_rect) >
-           node.entries[b].rect.CenterDistance2(center_rect);
-  });
+  // Select the p entries farthest from the node's MBR center. Distances
+  // are computed once; a stable sort's output depends only on the
+  // comparison outcomes, so the order is that of comparing recomputed
+  // distances.
+  std::vector<std::pair<double, size_t>> by_distance(n);
+  for (size_t i = 0; i < n; ++i) {
+    by_distance[i] = {node.entries[i].rect.CenterDistance2(center_rect), i};
+  }
+  std::stable_sort(
+      by_distance.begin(), by_distance.end(),
+      [](const auto& a, const auto& b) { return a.first > b.first; });
   size_t p = static_cast<size_t>(
       std::lround(options_.reinsert_fraction * static_cast<double>(n)));
   p = std::clamp<size_t>(p, 1, n - min_entries_);
@@ -204,8 +173,9 @@ void RTree::ReInsertEntries(std::vector<PageId> path, Node node) {
   removed.reserve(p);
   std::vector<bool> is_removed(n, false);
   for (size_t i = 0; i < p; ++i) {
-    removed.push_back(node.entries[order[i]]);
-    is_removed[order[i]] = true;
+    const size_t k = by_distance[i].second;
+    removed.push_back(node.entries[k]);
+    is_removed[k] = true;
   }
   std::vector<Entry> survivors;
   survivors.reserve(n - p);

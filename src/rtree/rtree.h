@@ -112,8 +112,10 @@ class RTree {
 
  private:
   // Descends from the root to a node at `target_level`, choosing subtrees
-  // per the configured policy; returns the page path (root first).
-  std::vector<PageId> DescendPath(const Rect& rect, int target_level) const;
+  // per the configured policy; returns the page path (root first) and
+  // stores the decoded node of each of its pages in `*nodes`.
+  std::vector<PageId> DescendPath(const Rect& rect, int target_level,
+                                  std::vector<Node>* nodes) const;
 
   // Index of the child entry of `node` to descend into for `rect`.
   size_t ChooseSubtree(const Node& node, const Rect& rect) const;
@@ -122,7 +124,9 @@ class RTree {
   void InsertAtLevel(const Entry& entry, int target_level);
 
   // Places `entry` into the node at path.back(), then resolves overflow.
-  void PlaceEntry(const std::vector<PageId>& path, const Entry& entry);
+  // `nodes` are DescendPath's decoded nodes of `path`.
+  void PlaceEntry(const std::vector<PageId>& path, std::vector<Node> nodes,
+                  const Entry& entry);
 
   // Overflow resolution: forced reinsertion (first time per level per
   // insertion, R* only, never at the root) or split. `node` holds M+1
