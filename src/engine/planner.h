@@ -18,10 +18,13 @@
 //                 + pinning (kSJ4); expected page reads past
 //                 `zorder_page_read_floor` additionally switch the read
 //                 schedule to local z-order (kSJ5).
-//   * chains    — the estimated peak intermediate tuple count picks
-//                 pipelined (bounded channels, peak-frontier capped) past
-//                 `pipeline_tuple_floor`, else the materialized
-//                 formulation (no channel machinery for small frontiers).
+//   * chains    — the estimated peak intermediate tuple count sets the
+//                 chain executor's one scheduling choice: pipelined
+//                 (bounded channels, peak-frontier capped) past
+//                 `pipeline_tuple_floor`, else materialized — the same
+//                 probe code with a barrier after every phase, so small
+//                 frontiers run on the session's task slots without
+//                 per-phase probe threads.
 //   * spilling  — estimated result cardinality past `spill_pair_floor`
 //                 collects through spilling sinks with
 //                 `spill_budget_chunks` resident chunks; below it,

@@ -188,7 +188,7 @@ class QueryEngine {
     // Planner thresholds (see engine/planner.h).
     PlannerOptions planner;
     // Base executor options for every session: chunk sizing, channel
-    // bound, elastic pipelining, partition multiplier. The engine
+    // bound, partition multiplier. The engine
     // overrides the resource fields (threads, pool mode, io_scheduler,
     // task_runner, governor, lifecycle) and the planner overrides its
     // decisions.

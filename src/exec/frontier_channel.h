@@ -1,15 +1,15 @@
-// Bounded chunk channel between the phases of the streaming multiway
-// pipeline (exec/multiway_executor.h).
+// Chunk channel between the phases of the parallel chain join
+// (exec/multiway_executor.h).
 //
 // A chain join's probe phase k produces partial tuples that phase k+1
-// consumes. The materialized formulation barriers on the whole frontier
-// between phases, so peak memory scales with the largest intermediate
-// result. This channel is the streaming alternative: producers push
-// completed FrontierChunks (flat, fixed-tuple-capacity blocks) as they
-// fill, consumers pop them as they arrive, and a bound on the queue depth
-// gives backpressure — a fast producer blocks until the slow consumer
-// catches up, which is exactly what caps the frontier's peak memory at
-// O(chunks in flight × chunk capacity).
+// consumes. Producers push completed FrontierChunks (flat,
+// fixed-tuple-capacity blocks) as they fill, and consumers pop them. The
+// pipelined formulation pops while the producers still run, and a bound
+// on the queue depth gives backpressure: a fast producer blocks until the
+// slow consumer catches up, which is exactly what caps the frontier's
+// peak memory at O(chunks in flight × chunk capacity). The materialized
+// formulation gives the channel no effective bound and pops only after
+// every producer retired — the phase barrier.
 //
 // Closure is producer-counted: every producer thread calls
 // RetireProducer() when it has flushed its last chunk; Pop() returns
@@ -21,10 +21,9 @@
 // Ownership & threading contracts:
 //   * The channel is thread-safe: any number of producer and consumer
 //     threads may call Push/Pop concurrently; accessors are snapshots.
-//   * The executor that builds the pipeline owns the channel and must
-//     keep it alive until every producer has retired and every consumer
-//     has seen Pop() == false — in practice, until the phase teams are
-//     joined.
+//   * The executor that builds the channel owns it and must keep it
+//     alive until every producer has retired and every consumer has seen
+//     Pop() == false.
 //   * Exactly `producers` threads must each call RetireProducer() once;
 //     pushing after retiring (or by an unregistered thread) is a
 //     contract violation.
@@ -68,22 +67,10 @@ class FrontierChannel {
   // enqueues. Only registered, un-retired producers may push.
   void Push(FrontierChunk chunk);
 
-  // Non-blocking push: enqueues and returns true unless the channel is
-  // full, in which case `*chunk` is left untouched and the caller keeps
-  // ownership. The elastic pipeline's help-on-full edge: a producer that
-  // cannot push drains downstream work itself instead of blocking.
-  bool TryPush(FrontierChunk* chunk);
-
   // Dequeues the oldest chunk; blocks while the channel is empty and
   // producers remain. Returns false when drained and all producers
   // retired — the consumer's signal to flush and shut down.
   bool Pop(FrontierChunk* out);
-
-  // Non-blocking pop for workers that service several channels: kGot
-  // hands out a chunk, kEmpty means nothing available right now but
-  // producers remain, kClosed means drained with all producers retired.
-  enum class PopResult { kGot, kEmpty, kClosed };
-  PopResult TryPop(FrontierChunk* out);
 
   // Marks one producer done. The last retirement wakes blocked poppers.
   void RetireProducer();

@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
-#include <functional>
+#include <limits>
 #include <memory>
 #include <span>
+#include <string>
 #include <thread>
 
 #include "common/logging.h"
@@ -55,14 +56,11 @@ struct FrontierGauge {
 };
 
 // Accumulates same-arity tuples into fixed-capacity FrontierChunks and
-// pushes each one downstream as it fills (single producer thread).
+// pushes each one into the next phase's channel as it fills (single
+// producer thread). `gauge` counts the tuples in flight; a materialized
+// run passes nullptr, since it counts each frontier whole at its barrier.
 class FrontierWriter {
  public:
-  // Completed chunks go to the downstream sink: either a channel's
-  // blocking Push, or a caller-supplied push function (the elastic team's
-  // help-on-full TryPush loop).
-  using PushFn = std::function<void(FrontierChunk)>;
-
   FrontierWriter(uint32_t arity, size_t capacity_tuples,
                  FrontierChannel* channel, FrontierGauge* gauge)
       : arity_(arity),
@@ -70,16 +68,6 @@ class FrontierWriter {
         channel_(channel),
         gauge_(gauge) {
     RSJ_DCHECK(channel != nullptr);
-    Reset();
-  }
-
-  FrontierWriter(uint32_t arity, size_t capacity_tuples, PushFn push_fn,
-                 FrontierGauge* gauge)
-      : arity_(arity),
-        capacity_tuples_(capacity_tuples),
-        push_fn_(std::move(push_fn)),
-        gauge_(gauge) {
-    RSJ_DCHECK(push_fn_ != nullptr);
     Reset();
   }
 
@@ -97,7 +85,7 @@ class FrontierWriter {
       const uint32_t* raw =
           reinterpret_cast<const uint32_t*>(batch.data() + offset);
       current_.flat.insert(current_.flat.end(), raw, raw + 2 * take);
-      gauge_->Add(take);
+      if (gauge_ != nullptr) gauge_->Add(take);
       offset += take;
       MaybePush();
     }
@@ -109,7 +97,7 @@ class FrontierWriter {
     RSJ_DCHECK(prefix_len + 1 == arity_);
     current_.flat.insert(current_.flat.end(), prefix, prefix + prefix_len);
     current_.flat.push_back(id);
-    gauge_->Add(1);
+    if (gauge_ != nullptr) gauge_->Add(1);
     MaybePush();
   }
 
@@ -126,11 +114,7 @@ class FrontierWriter {
   void Push() {
     // The tuples were gauged as they entered the chunk; the consumer
     // un-gauges the whole chunk after processing it.
-    if (channel_ != nullptr) {
-      channel_->Push(std::move(current_));
-    } else {
-      push_fn_(std::move(current_));
-    }
+    channel_->Push(std::move(current_));
     Reset();
   }
 
@@ -142,8 +126,7 @@ class FrontierWriter {
 
   uint32_t arity_;
   size_t capacity_tuples_;
-  FrontierChannel* channel_ = nullptr;
-  PushFn push_fn_;
+  FrontierChannel* channel_;
   FrontierGauge* gauge_;
   FrontierChunk current_;
 };
@@ -199,93 +182,6 @@ ParallelChainJoinResult SequentialChainFallback(
   return result;
 }
 
-// Everything one probe worker of the MATERIALIZED formulation owns. Only
-// the owning worker thread touches a context while the scheduler runs
-// (work stealing moves chunk indices, not contexts).
-struct ProbeWorker {
-  Statistics stats;
-  std::unique_ptr<BufferPool> private_pool;    // null in shared-pool mode
-  std::unique_ptr<Prefetcher> private_prefetcher;  // over the private pool
-  std::vector<std::vector<uint32_t>> out;      // extended tuples, this phase
-  std::vector<uint32_t> matches;               // per-probe scratch
-  std::unique_ptr<TupleSpiller> spiller;       // last phase, when spilling
-  uint64_t chunks = 0;
-  size_t hinted_through_phase = 1;  // probe roots hinted up to this phase
-};
-
-// One worker of a pipelined probe team: a dedicated thread that pops
-// frontier chunks from its phase's input channel as they arrive.
-struct PipelineProbeWorker {
-  Statistics stats;
-  std::unique_ptr<BufferPool> private_pool;    // null in shared-pool mode
-  std::unique_ptr<Prefetcher> private_prefetcher;  // over the private pool
-  uint64_t chunks = 0;
-  uint64_t final_tuples = 0;                   // last phase: tuples emitted
-  std::vector<std::vector<uint32_t>> tuples;   // last phase, when collected
-  std::unique_ptr<TupleSpiller> spiller;       // last phase, when spilling
-  SpilledTupleSet spilled;                     // the spiller's share, taken
-                                               // on the worker's own thread
-  std::thread thread;
-};
-
-// One buffer, one decode cache and one prefetcher for a whole chain run
-// (shared-pool mode), plus the modeled-clock snapshots. Built by one
-// helper for both formulations, so the A/B pair is configured identically
-// by construction.
-struct ChainContext {
-  std::unique_ptr<SharedBufferPool> shared;      // null when borrowed
-  std::unique_ptr<NodeCache> shared_nodes;       // null when borrowed
-  std::unique_ptr<Prefetcher> prefetcher;  // shared-pool mode only
-  // The effective pool/cache: the owned instances above or the engine's
-  // borrowed ones.
-  SharedBufferPool* pool = nullptr;
-  NodeCache* nodes = nullptr;
-  IoScheduler* io = nullptr;
-  bool owns_io = false;
-  uint64_t io_clock_before = 0;
-  uint64_t io_batches_before = 0;
-  uint64_t io_floor_before = 0;  // borrowed lifecycle: elapsed baseline
-};
-
-ChainContext MakeChainContext(const JoinOptions& options,
-                              const ParallelExecutorOptions& exec_options,
-                              uint32_t page_size,
-                              SharedBufferPool* ext_pool = nullptr,
-                              NodeCache* ext_nodes = nullptr) {
-  ChainContext ctx;
-  ctx.io = exec_options.io_scheduler;
-  ctx.owns_io = ctx.io != nullptr && exec_options.own_io_lifecycle;
-  ctx.io_clock_before = ctx.owns_io ? ctx.io->NowMicros() : 0;
-  ctx.io_batches_before = ctx.io != nullptr ? ctx.io->io_batches() : 0;
-  ctx.io_floor_before =
-      ctx.io != nullptr && !ctx.owns_io ? ctx.io->FloorMicros() : 0;
-  if (exec_options.shared_pool) {
-    if (ext_pool != nullptr) {
-      ctx.pool = ext_pool;
-    } else {
-      ctx.shared = std::make_unique<SharedBufferPool>(
-          SharedBufferPool::Options{options.buffer_bytes, page_size,
-                                    options.eviction_policy,
-                                    exec_options.pool_shards});
-      ctx.pool = ctx.shared.get();
-    }
-    if (ctx.io != nullptr) ctx.pool->AttachIoScheduler(ctx.io);
-    if (ext_nodes != nullptr) {
-      ctx.nodes = ext_nodes;
-    } else if (exec_options.node_cache) {
-      ctx.shared_nodes = std::make_unique<NodeCache>(
-          ctx.pool, NodeCache::Options{exec_options.node_cache_capacity,
-                                       exec_options.pool_shards});
-      ctx.nodes = ctx.shared_nodes.get();
-    }
-    if (exec_options.prefetch) {
-      ctx.prefetcher = std::make_unique<Prefetcher>(
-          ctx.pool, Prefetcher::Options{exec_options.prefetch_ahead});
-    }
-  }
-  return ctx;
-}
-
 // Bytes one resident final-tuple chunk (chunk_capacity tuples of the
 // chain's full arity) leases from the run-wide governor.
 uint64_t TupleChunkBytes(const ParallelExecutorOptions& exec_options,
@@ -294,81 +190,38 @@ uint64_t TupleChunkBytes(const ParallelExecutorOptions& exec_options,
          sizeof(uint32_t);
 }
 
-// The PR 2 formulation, kept as the A/B baseline: every probe phase
-// barriers on the whole frontier of its predecessor, so
-// frontier_peak_tuples is the largest intermediate result.
-ParallelChainJoinResult RunMaterializedChain(
+// A 2-relation chain has no probe phase: it is the pairwise executor,
+// whose pairs are the final 2-tuples.
+ParallelChainJoinResult RunPairChain(
     const std::vector<JoinRelation>& relations, const JoinOptions& options,
     const ParallelExecutorOptions& exec_options, bool collect_tuples,
     SharedBufferPool* ext_pool, NodeCache* ext_nodes) {
-  const unsigned num_threads = exec_options.num_threads;
-  const uint32_t page_size = relations[0].tree->options().page_size;
-  ParallelChainJoinResult result;
-  result.used_shared_pool = exec_options.shared_pool;
-  result.worker_stats.resize(num_threads);
-
-  // One buffer and one decode cache for the whole chain: the pairwise
-  // phase warms both, the probe phases keep hitting the same directory
-  // pages for every frontier tuple.
-  ChainContext ctx =
-      MakeChainContext(options, exec_options, page_size, ext_pool, ext_nodes);
-  SharedBufferPool* const shared = ctx.pool;
-  NodeCache* const shared_nodes = ctx.nodes;
-  Prefetcher* const prefetcher = ctx.prefetcher.get();
-  IoScheduler* const io = ctx.io;
-  const uint64_t io_clock_before = ctx.io_clock_before;
-  result.used_node_cache = shared_nodes != nullptr;
-  Statistics chain_coordinator;  // probe-phase prefetch hints
-
-  // Spill context of the final tuple set, mirroring the pipelined
-  // formulation: one serialized file and one resident budget shared by the
-  // last phase's workers (exec/spill_sink.h).
-  const bool spill_on = collect_tuples && exec_options.spill_results;
-  const uint64_t tuple_chunk_bytes =
-      TupleChunkBytes(exec_options, relations.size());
-  std::shared_ptr<SpillFile> spill_file;
-  std::unique_ptr<ResidentBudget> spill_budget;
-  if (spill_on) {
-    spill_file = std::make_shared<SpillFile>(
-        SpillFile::Options{exec_options.spill_page_size, io,
-                           exec_options.tracer, exec_options.trace_pid});
-    spill_budget = std::make_unique<ResidentBudget>(
-        exec_options.spill_budget_chunks, exec_options.memory_governor,
-        MemoryCategory::kResultChunks, tuple_chunk_bytes);
-    spill_budget->AttachTracer(exec_options.tracer, exec_options.trace_pid);
-  }
-
-  // Phase 1: the partitioned pairwise executor over relations 0 ⋈ 1,
-  // materializing the pairs as the initial tuple frontier.
   ParallelExecutorOptions pair_exec = exec_options;
-  pair_exec.collect_pairs = true;
-  // spill_results governs the FINAL tuple set only. With three or more
-  // relations the pairwise pairs are an intermediate frontier and must come
-  // back as chunks; in a 2-relation chain they ARE the final tuples, so the
-  // pairwise executor runs in its own bounded spill_results form and its
-  // result is re-wrapped below.
-  const bool pairwise_is_final = relations.size() == 2;
-  pair_exec.spill_results = spill_on && pairwise_is_final;
+  pair_exec.collect_pairs = collect_tuples;
+  pair_exec.spill_results = collect_tuples && exec_options.spill_results;
   ParallelJoinResult pairwise = RunParallelSpatialJoinWith(
-      *relations[0].tree, *relations[1].tree, options, pair_exec, shared,
-      shared_nodes);
-  // The pairwise executor already accounted its own I/O batches; the chain
-  // only adds the delta of the probe phases below.
-  const uint64_t io_batches_mid = io != nullptr ? io->io_batches() : 0;
+      *relations[0].tree, *relations[1].tree, options, pair_exec, ext_pool,
+      ext_nodes);
+  ParallelChainJoinResult result;
+  result.tuple_count = pairwise.pair_count;
+  result.total_stats = pairwise.total_stats;
+  result.worker_stats.resize(exec_options.num_threads);
+  for (size_t w = 0; w < pairwise.worker_stats.size(); ++w) {
+    result.worker_stats[w % exec_options.num_threads].MergeFrom(
+        pairwise.worker_stats[w]);
+  }
   result.pairwise_task_count = pairwise.task_count;
   result.partition_depth = pairwise.partition_depth;
-  result.total_stats.MergeFrom(pairwise.total_stats);
-  for (size_t w = 0; w < pairwise.worker_stats.size(); ++w) {
-    result.worker_stats[w % num_threads].MergeFrom(pairwise.worker_stats[w]);
-  }
-
-  std::vector<std::vector<uint32_t>> frontier;
-  if (pairwise_is_final && spill_on) {
-    // No probe phases. A ResultPair block is layout-identical to a flat
-    // [r, s] tuple run, so the pairwise executor's bounded SpilledResult
-    // transfers into the tuple set by reference: spilled page runs move
-    // as-is, and only the resident pair chunks (never more than the spill
-    // budget of them) re-wrap as arity-2 frontier chunks.
+  result.worker_probe_chunks.assign(exec_options.num_threads, 0);
+  result.used_shared_pool = pairwise.used_shared_pool;
+  result.used_node_cache = pairwise.used_node_cache;
+  result.modeled_elapsed_micros = pairwise.modeled_elapsed_micros;
+  if (pair_exec.spill_results) {
+    // A ResultPair block is layout-identical to a flat [r, s] tuple run,
+    // so the bounded SpilledResult transfers into the tuple set by
+    // reference: spilled page runs move as-is, and only the resident pair
+    // chunks (never more than the spill budget of them) re-wrap as
+    // arity-2 frontier chunks.
     result.spilled_tuples.arity = 2;
     result.spilled_tuples.tuple_count = pairwise.spilled.pair_count;
     for (const ChunkPtr& chunk : pairwise.spilled.resident) {
@@ -381,712 +234,525 @@ ParallelChainJoinResult RunMaterializedChain(
     }
     result.spilled_tuples.spilled = std::move(pairwise.spilled.spilled);
     result.spilled_tuples.file = std::move(pairwise.spilled.file);
-  } else {
-    frontier.reserve(pairwise.chunks.pair_count());
-    pairwise.chunks.ForEachPair([&frontier](const ResultPair& p) {
-      frontier.push_back({p.r, p.s});
+  } else if (collect_tuples) {
+    result.tuples.reserve(pairwise.pair_count);
+    pairwise.chunks.ForEachPair([&result](const ResultPair& p) {
+      result.tuples.push_back({p.r, p.s});
     });
-  }
-  pairwise.chunks.clear();
-
-  // Probe workers, reused across phases so private pools and decode
-  // caches stay warm from phase to phase.
-  std::vector<std::unique_ptr<ProbeWorker>> workers;
-  workers.reserve(num_threads);
-  for (unsigned w = 0; w < num_threads; ++w) {
-    auto worker = std::make_unique<ProbeWorker>();
-    if (!exec_options.shared_pool) {
-      // Private-pool mode is the seed's A/B baseline: per-worker buffers
-      // and no decode cache (matching the pairwise executor), so every
-      // probe visit pays its decode. Prefetch hints stay worker-scoped:
-      // each pool consumes its own.
-      worker->private_pool = std::make_unique<BufferPool>(
-          BufferPool::Options{options.buffer_bytes, page_size,
-                              options.eviction_policy},
-          &worker->stats);
-      if (io != nullptr) worker->private_pool->AttachIoScheduler(io);
-      if (exec_options.prefetch) {
-        worker->private_prefetcher = std::make_unique<Prefetcher>(
-            worker->private_pool.get(),
-            Prefetcher::Options{exec_options.prefetch_ahead});
-      }
-    }
-    workers.push_back(std::move(worker));
-  }
-
-  if (io != nullptr && !ctx.owns_io) {
-    // Borrowed lifecycle: the nested pairwise run retired its actors
-    // without raising the shared floor, so the inter-phase barrier must
-    // be modeled explicitly — every probe worker (and the hint
-    // coordinator) starts no earlier than the pairwise completion.
-    const uint64_t pair_end =
-        ctx.io_floor_before + pairwise.modeled_elapsed_micros;
-    io->AdvanceActorTo(&chain_coordinator, pair_end);
-    for (auto& worker : workers) {
-      io->AdvanceActorTo(&worker->stats, pair_end);
-    }
-  }
-
-  uint64_t frontier_peak = 0;
-
-  // Phase 2..n-1: fan the frontier out in contiguous chunks; every chunk
-  // is one schedulable unit, sized so that partition_multiplier × threads
-  // chunks exist (the same "k" as the pairwise partitioner).
-  for (size_t next = 2; next < relations.size(); ++next) {
-    const JoinRelation& rel = relations[next];
-    const std::vector<Rect>& prev_rects = *relations[next - 1].rects;
-    frontier_peak = std::max<uint64_t>(frontier_peak, frontier.size());
-    if (frontier.empty()) {
-      result.probe_chunk_counts.push_back(0);
-      continue;
-    }
-    // A zero partition_multiplier must not zero the divisor, and the
-    // ceiling division is computed overflow-safely (a huge frontier with
-    // `size + target - 1` would wrap before dividing).
-    const size_t target_chunks = std::max<size_t>(
-        1, static_cast<size_t>(exec_options.partition_multiplier) *
-               num_threads);
-    const size_t chunk_size = std::max<size_t>(
-        1, frontier.size() / target_chunks +
-               (frontier.size() % target_chunks != 0 ? 1 : 0));
-    const size_t num_chunks =
-        frontier.size() / chunk_size + (frontier.size() % chunk_size != 0);
-    result.probe_chunk_counts.push_back(num_chunks);
-
-    if (prefetcher != nullptr) {
-      // Shared pool: one coordinator-side hint of the probe tree's hot top
-      // serves every worker.
-      HintProbeRoot(*rel.tree, shared, shared_nodes, prefetcher,
-                    &chain_coordinator);
-    }
-
-    // The last phase's extensions are final tuples: under spill_results
-    // they go through per-worker spillers instead of the next frontier.
-    const bool last_phase = next + 1 == relations.size();
-    if (last_phase && spill_on) {
-      for (auto& worker : workers) {
-        worker->spiller = std::make_unique<TupleSpiller>(
-            static_cast<uint32_t>(relations.size()),
-            exec_options.chunk_capacity, spill_file.get(),
-            spill_budget.get(), &worker->stats);
-      }
-    }
-
-    const unsigned phase_workers =
-        static_cast<unsigned>(std::min<size_t>(num_threads, num_chunks));
-    const auto phase_body = [&](unsigned w, size_t chunk) {
-      ProbeWorker& worker = *workers[w];
-      TraceSpan span(exec_options.tracer, "exec", "probe_chunk",
-                     exec_options.trace_pid, /*sampled=*/true);
-      const uint64_t modeled_before =
-          span.active() && io != nullptr ? io->ActorClock(&worker.stats) : 0;
-      ++worker.chunks;
-      if (worker.private_prefetcher != nullptr &&
-          worker.hinted_through_phase < next) {
-        // Private pool: this worker's first chunk of the phase hints the
-        // probe root's children into its own pool.
-        HintProbeRoot(*rel.tree, worker.private_pool.get(), nullptr,
-                      worker.private_prefetcher.get(), &worker.stats);
-        worker.hinted_through_phase = next;
-      }
-      const size_t begin = chunk * chunk_size;
-      const size_t end = std::min(frontier.size(), begin + chunk_size);
-      PageCache* pages = exec_options.shared_pool
-                             ? static_cast<PageCache*>(shared)
-                             : worker.private_pool.get();
-      NodeCache* nodes = shared_nodes;
-      for (size_t t = begin; t < end; ++t) {
-        const std::vector<uint32_t>& tuple = frontier[t];
-        RSJ_DCHECK(tuple.back() < prev_rects.size());
-        worker.matches.clear();
-        ProbeChainWindow(*rel.tree, pages, nodes, options,
-                         prev_rects[tuple.back()], &worker.stats,
-                         &worker.matches);
-        for (const uint32_t id : worker.matches) {
-          if (worker.spiller != nullptr) {
-            worker.spiller->Append(tuple.data(), tuple.size(), id);
-          } else {
-            std::vector<uint32_t> longer = tuple;
-            longer.push_back(id);
-            worker.out.push_back(std::move(longer));
-          }
-        }
-      }
-      if (span.active()) {
-        if (io != nullptr) {
-          span.set_modeled_range(modeled_before,
-                                 io->ActorClock(&worker.stats));
-        }
-        span.set_arg("chunk", chunk);
-      }
-    };
-    {
-      TraceSpan phase_span(exec_options.tracer, "exec", "probe_phase",
-                           exec_options.trace_pid);
-      phase_span.set_arg("chunks", num_chunks);
-      uint64_t phase_begin = 0;
-      if (phase_span.active() && io != nullptr) {
-        phase_begin = io->ActorClock(&workers[0]->stats);
-        for (unsigned w = 1; w < phase_workers; ++w) {
-          phase_begin =
-              std::min(phase_begin, io->ActorClock(&workers[w]->stats));
-        }
-      }
-      if (exec_options.task_runner) {
-        exec_options.task_runner(phase_workers, num_chunks, phase_body);
-      } else {
-        TaskScheduler scheduler(phase_workers, num_chunks);
-        scheduler.Run(phase_body);
-      }
-      if (phase_span.active() && io != nullptr) {
-        uint64_t phase_end = phase_begin;
-        for (unsigned w = 0; w < phase_workers; ++w) {
-          phase_end = std::max(phase_end, io->ActorClock(&workers[w]->stats));
-        }
-        phase_span.set_modeled_range(phase_begin, phase_end);
-      }
-    }
-
-    // Concatenate the worker outputs into the next frontier (moves only).
-    size_t total = 0;
-    for (const auto& worker : workers) total += worker->out.size();
-    std::vector<std::vector<uint32_t>> extended;
-    extended.reserve(total);
-    for (const auto& worker : workers) {
-      for (auto& tuple : worker->out) extended.push_back(std::move(tuple));
-      worker->out.clear();
-    }
-    frontier = std::move(extended);
-  }
-
-  // Seal the last phase's partial chunks before the drain below, so their
-  // timed writes (charged to each worker's stats/clock) are in the model
-  // when the clocks merge.
-  for (auto& worker : workers) {
-    if (worker->spiller != nullptr) {
-      result.spilled_tuples.MergeFrom(worker->spiller->Take());
-    }
-  }
-
-  if (ctx.owns_io) {
-    io->Drain();
-    chain_coordinator.io_batches += io->io_batches() - io_batches_mid;
-    result.modeled_elapsed_micros = io->SynchronizeClocks() - io_clock_before;
-  } else if (io != nullptr) {
-    // Borrowed lifecycle: retire this chain's actors (the spillers' timed
-    // Take() writes are already on the clocks above) and measure elapsed
-    // against the floor at entry; the shared io_batches counter is left
-    // to the engine.
-    uint64_t finish = ctx.io_floor_before + pairwise.modeled_elapsed_micros;
-    finish = std::max(finish, io->RetireActor(&chain_coordinator));
-    for (auto& worker : workers) {
-      finish = std::max(finish, io->RetireActor(&worker->stats));
-    }
-    result.modeled_elapsed_micros = finish - ctx.io_floor_before;
-  }
-  result.total_stats.MergeFrom(chain_coordinator);
-
-  result.worker_probe_chunks.assign(num_threads, 0);
-  for (unsigned w = 0; w < num_threads; ++w) {
-    result.worker_probe_chunks[w] = workers[w]->chunks;
-    result.worker_stats[w].MergeFrom(workers[w]->stats);
-    result.total_stats.MergeFrom(workers[w]->stats);
-  }
-  result.total_stats.frontier_peak_tuples =
-      std::max(result.total_stats.frontier_peak_tuples, frontier_peak);
-
-  if (spill_on) {
-    result.tuple_count = result.spilled_tuples.tuple_count;
-    result.spilled_tuples.arity = static_cast<uint32_t>(relations.size());
-    if (result.spilled_tuples.file == nullptr) {
-      // The 2-relation re-wrap keeps the pairwise executor's file.
-      result.spilled_tuples.file = std::move(spill_file);
-    }
-    result.total_stats.NoteResultChunksResident(spill_budget->peak());
-  } else {
-    result.tuple_count = frontier.size();
-    if (collect_tuples) {
-      result.tuples = std::move(frontier);
-      // The materialized formulation holds its whole collected output; an
-      // unbounded gauge reports it in chunk-capacity units and mirrors
-      // the bytes into the run-wide governor, so spill-vs-materialized
-      // A/Bs compare one counter and one ledger.
-      ResidentBudget gauge(ResidentBudget::kUnbounded,
-                           exec_options.memory_governor,
-                           MemoryCategory::kResultChunks, tuple_chunk_bytes);
-      const uint64_t cap = exec_options.chunk_capacity;
-      const uint64_t held = (result.tuple_count + cap - 1) / cap;
-      for (uint64_t c = 0; c < held; ++c) gauge.Admit();
-      result.total_stats.NoteResultChunksResident(gauge.peak());
-    }
   }
   return result;
 }
 
-// The streaming formulation: one bounded channel per phase boundary, one
-// dedicated worker team per probe phase, chunks handed downstream as they
-// fill. No phase ever sees its predecessor's whole frontier.
-ParallelChainJoinResult RunPipelinedChain(
-    const std::vector<JoinRelation>& relations, const JoinOptions& options,
-    const ParallelExecutorOptions& exec_options, bool collect_tuples,
-    SharedBufferPool* ext_pool, NodeCache* ext_nodes) {
-  const unsigned num_threads = exec_options.num_threads;
-  const uint32_t page_size = relations[0].tree->options().page_size;
-  const size_t num_probe_phases = relations.size() - 2;
-  ParallelChainJoinResult result;
-  result.used_shared_pool = exec_options.shared_pool;
-  result.used_pipeline = true;
-  result.used_elastic = exec_options.elastic_pipeline;
-  result.worker_stats.resize(num_threads);
+// Everything one probe worker owns. Only the thread running the worker
+// touches it: a pipelined run gives every worker its own thread, a
+// materialized run hands worker slots out through the task scheduler
+// (work stealing moves slices, not workers).
+struct ProbeWorker {
+  Statistics stats;
+  std::unique_ptr<BufferPool> private_pool;    // null in shared-pool mode
+  std::unique_ptr<Prefetcher> private_prefetcher;  // over the private pool
+  PageCache* pages = nullptr;                  // the shared or private pool
+  std::unique_ptr<FrontierWriter> writer;      // null in the last phase
+  std::unique_ptr<TupleSpiller> spiller;       // last phase, when spilling
+  std::vector<std::vector<uint32_t>> tuples;   // last phase, when collected
+  std::vector<uint32_t> matches;               // per-probe scratch
+  uint64_t final_tuples = 0;                   // last phase: tuples emitted
+  uint64_t chunks = 0;
+  size_t hinted_phase = std::numeric_limits<size_t>::max();
+  std::thread thread;                          // pipelined runs only
+};
 
-  ChainContext ctx =
-      MakeChainContext(options, exec_options, page_size, ext_pool, ext_nodes);
-  SharedBufferPool* const shared = ctx.pool;
-  NodeCache* const shared_nodes = ctx.nodes;
-  Prefetcher* const prefetcher = ctx.prefetcher.get();
-  IoScheduler* const io = ctx.io;
-  const uint64_t io_clock_before = ctx.io_clock_before;
-  const uint64_t io_batches_before = ctx.io_batches_before;
-  result.used_node_cache = shared_nodes != nullptr;
-  Statistics chain_coordinator;
+// One parallel chain run over three or more relations. Both formulations
+// share every part: the pool stack, the workers, a pairwise phase that
+// writes FrontierWriters into channel 0, the probe routine and the finish
+// step. They differ only in where the phase barrier sits. A pipelined run
+// has none: every probe phase has a dedicated team popping chunks from a
+// bounded channel as they arrive. A materialized run barriers after every
+// phase and fans the whole flat frontier out in slices over the task
+// scheduler.
+class ChainRun {
+ public:
+  ChainRun(const std::vector<JoinRelation>& relations,
+           const JoinOptions& options,
+           const ParallelExecutorOptions& exec_options, bool collect_tuples,
+           SharedBufferPool* ext_pool, NodeCache* ext_nodes);
+  // Probe threads hold `this`.
+  ChainRun(const ChainRun&) = delete;
+  ChainRun& operator=(const ChainRun&) = delete;
 
-  // Shared pool: every probe phase is live from the first pushed chunk,
-  // so all probe-root children are hinted upfront.
-  if (prefetcher != nullptr) {
-    for (size_t next = 2; next < relations.size(); ++next) {
-      HintProbeRoot(*relations[next].tree, shared, shared_nodes,
-                    prefetcher, &chain_coordinator);
+  ParallelChainJoinResult Run();
+
+ private:
+  size_t phases() const { return relations_.size() - 2; }
+  std::unique_ptr<ProbeWorker> MakeWorker(bool last_phase);
+  void HintPhase(size_t k);
+  void ProbeRun(size_t k, const uint32_t* flat, size_t tuples,
+                ProbeWorker* worker);
+  void RunPairwise(FrontierGauge* gauge);
+  uint64_t RunPipelined();
+  uint64_t RunMaterialized();
+  void Finish(uint64_t frontier_peak);
+
+  const std::vector<JoinRelation>& relations_;
+  const JoinOptions& options_;
+  const ParallelExecutorOptions& exec_;
+  const bool collect_tuples_;
+  const bool spill_on_;
+
+  // One buffer, one decode cache and one prefetcher for the whole chain
+  // in shared-pool mode: the pairwise phase warms them, and the probe
+  // phases keep hitting the same directory pages for every frontier
+  // tuple. `pool_`/`nodes_` are the owned instances or the engine's
+  // borrowed ones.
+  std::unique_ptr<SharedBufferPool> owned_pool_;
+  std::unique_ptr<NodeCache> owned_nodes_;
+  std::unique_ptr<Prefetcher> prefetcher_;
+  SharedBufferPool* pool_ = nullptr;
+  NodeCache* nodes_ = nullptr;
+
+  // Modeled-clock snapshots at entry.
+  IoScheduler* const io_;
+  const bool owns_io_;
+  uint64_t io_clock_before_ = 0;
+  uint64_t io_batches_before_ = 0;
+  uint64_t io_floor_before_ = 0;
+  uint64_t pairwise_elapsed_ = 0;
+
+  // The final tuple set's spill file and the resident budget the last
+  // phase's workers share (exec/spill_sink.h).
+  std::shared_ptr<SpillFile> spill_file_;
+  std::unique_ptr<ResidentBudget> spill_budget_;
+
+  Statistics coordinator_;  // shared-pool probe-root hints
+  // channels_[k] feeds probe phase k, which probes relations_[k + 2].
+  std::vector<std::unique_ptr<FrontierChannel>> channels_;
+  // One team per probe phase when pipelined; one team reused by every
+  // phase when materialized, so private pools stay warm between phases.
+  std::vector<std::vector<std::unique_ptr<ProbeWorker>>> teams_;
+  ParallelChainJoinResult result_;
+};
+
+ChainRun::ChainRun(const std::vector<JoinRelation>& relations,
+                   const JoinOptions& options,
+                   const ParallelExecutorOptions& exec_options,
+                   bool collect_tuples, SharedBufferPool* ext_pool,
+                   NodeCache* ext_nodes)
+    : relations_(relations),
+      options_(options),
+      exec_(exec_options),
+      collect_tuples_(collect_tuples),
+      spill_on_(collect_tuples && exec_options.spill_results),
+      io_(exec_options.io_scheduler),
+      owns_io_(io_ != nullptr && exec_options.own_io_lifecycle) {
+  if (io_ != nullptr) {
+    io_clock_before_ = owns_io_ ? io_->NowMicros() : 0;
+    io_batches_before_ = io_->io_batches();
+    io_floor_before_ = io_->FloorMicros();
+  }
+  if (exec_.shared_pool) {
+    pool_ = ext_pool;
+    if (pool_ == nullptr) {
+      owned_pool_ = std::make_unique<SharedBufferPool>(
+          SharedBufferPool::Options{options.buffer_bytes,
+                                    relations[0].tree->options().page_size,
+                                    options.eviction_policy,
+                                    exec_.pool_shards});
+      pool_ = owned_pool_.get();
+    }
+    if (io_ != nullptr) pool_->AttachIoScheduler(io_);
+    nodes_ = ext_nodes;
+    if (nodes_ == nullptr && exec_.node_cache) {
+      owned_nodes_ = std::make_unique<NodeCache>(
+          pool_, NodeCache::Options{exec_.node_cache_capacity,
+                                    exec_.pool_shards});
+      nodes_ = owned_nodes_.get();
+    }
+    if (exec_.prefetch) {
+      prefetcher_ = std::make_unique<Prefetcher>(
+          pool_, Prefetcher::Options{exec_.prefetch_ahead});
     }
   }
-
-  // Spill context of the final tuple set: one serialized file and one
-  // resident budget shared by the last phase's workers (exec/spill_sink.h).
-  const bool spill_on = collect_tuples && exec_options.spill_results;
-  const uint64_t tuple_chunk_bytes =
-      TupleChunkBytes(exec_options, relations.size());
-  std::shared_ptr<SpillFile> spill_file;
-  std::unique_ptr<ResidentBudget> spill_budget;
-  if (spill_on) {
-    spill_file = std::make_shared<SpillFile>(
-        SpillFile::Options{exec_options.spill_page_size, io,
-                           exec_options.tracer, exec_options.trace_pid});
-    spill_budget = std::make_unique<ResidentBudget>(
-        exec_options.spill_budget_chunks, exec_options.memory_governor,
-        MemoryCategory::kResultChunks, tuple_chunk_bytes);
-    spill_budget->AttachTracer(exec_options.tracer, exec_options.trace_pid);
+  if (spill_on_) {
+    spill_file_ = std::make_shared<SpillFile>(SpillFile::Options{
+        exec_.spill_page_size, io_, exec_.tracer, exec_.trace_pid});
+    spill_budget_ = std::make_unique<ResidentBudget>(
+        exec_.spill_budget_chunks, exec_.memory_governor,
+        MemoryCategory::kResultChunks,
+        TupleChunkBytes(exec_, relations.size()));
+    spill_budget_->AttachTracer(exec_.tracer, exec_.trace_pid);
   }
+  result_.used_shared_pool = exec_.shared_pool;
+  result_.used_node_cache = nodes_ != nullptr;
+  result_.worker_stats.resize(exec_.num_threads);
+}
 
-  FrontierGauge gauge;
-  gauge.governor = exec_options.memory_governor;
-  gauge.tuple_bytes = relations.size() * sizeof(uint32_t);
-  // channels[k] feeds probe phase k (probing relations[k + 2]). Producers:
-  // the pairwise workers for k = 0, team k-1's workers otherwise.
-  std::vector<std::unique_ptr<FrontierChannel>> channels;
-  channels.reserve(num_probe_phases);
-  for (size_t k = 0; k < num_probe_phases; ++k) {
-    channels.push_back(std::make_unique<FrontierChannel>(
-        exec_options.channel_bound, num_threads));
+// Builds one probe worker. Private-pool mode is the seed's model:
+// per-worker buffers and no decode cache (matching the pairwise
+// executor), so every probe visit pays its decode, and prefetch hints
+// stay worker-scoped — each pool consumes its own.
+std::unique_ptr<ProbeWorker> ChainRun::MakeWorker(bool last_phase) {
+  auto worker = std::make_unique<ProbeWorker>();
+  worker->pages = pool_;
+  if (!exec_.shared_pool) {
+    worker->private_pool = std::make_unique<BufferPool>(
+        BufferPool::Options{options_.buffer_bytes,
+                            relations_[0].tree->options().page_size,
+                            options_.eviction_policy},
+        &worker->stats);
+    if (io_ != nullptr) worker->private_pool->AttachIoScheduler(io_);
+    if (exec_.prefetch) {
+      worker->private_prefetcher = std::make_unique<Prefetcher>(
+          worker->private_pool.get(),
+          Prefetcher::Options{exec_.prefetch_ahead});
+    }
+    worker->pages = worker->private_pool.get();
   }
+  if (last_phase && spill_on_) {
+    worker->spiller = std::make_unique<TupleSpiller>(
+        static_cast<uint32_t>(relations_.size()), exec_.chunk_capacity,
+        spill_file_.get(), spill_budget_.get(), &worker->stats);
+  }
+  return worker;
+}
 
-  // Probe teams: phase k's workers pop from channels[k] as chunks arrive
-  // and push extended tuples towards phase k+1 (or collect final tuples).
-  // No unwind teardown (retire + join) guards the spawn loops: the library
-  // is exception-free by policy (common/logging.h — invariant failures
-  // abort), so any exception escaping here is already fatal.
-  std::vector<std::vector<std::unique_ptr<PipelineProbeWorker>>> teams(
-      num_probe_phases);
-  // Elastic mode: ONE shared team of num_threads workers services every
-  // probe phase instead of a dedicated team per phase. Each worker scans
-  // the channels deepest-first (draining later phases frees channel space
-  // for earlier ones) and, when its output channel is full, processes
-  // downstream chunks itself instead of blocking — the final phase never
-  // pushes, so that help recursion is bounded by the phase count and the
-  // bounded channels stay deadlock-free. Every worker holds one producer
-  // slot on each channel k >= 1 and retires slot k+1 once channel k has
-  // closed (no phase-k chunk can exist anywhere) and its own phase-k
-  // writer has flushed — the same producer-counted cascade as the
-  // dedicated teams, just per worker instead of per team.
-  std::vector<std::unique_ptr<PipelineProbeWorker>> elastic;
-  const auto elastic_loop = [&](PipelineProbeWorker* self) {
-    PageCache* const pages = exec_options.shared_pool
-                                 ? static_cast<PageCache*>(shared)
-                                 : self->private_pool.get();
-    NodeCache* const nodes = shared_nodes;
-    if (self->private_prefetcher != nullptr) {
-      // Private pool: any phase may run on this worker from the first
-      // chunk on, so every probe root is hinted into its own pool upfront
-      // (mirroring the shared-pool coordinator hints).
-      for (size_t next = 2; next < relations.size(); ++next) {
-        HintProbeRoot(*relations[next].tree, pages, nullptr,
-                      self->private_prefetcher.get(), &self->stats);
+// Shared pool with prefetch: one coordinator-side hint of probe phase k's
+// tree top serves every worker (a no-op otherwise).
+void ChainRun::HintPhase(size_t k) {
+  HintProbeRoot(*relations_[k + 2].tree, pool_, nodes_, prefetcher_.get(),
+                &coordinator_);
+}
+
+// Probes a run of `tuples` flat tuples of arity k + 2 against probe phase
+// k's tree. Each extension goes to the worker's FrontierWriter (the next
+// frontier) or, in the last phase, to its final output: a count, plus
+// the collected tuple or the spiller.
+void ChainRun::ProbeRun(size_t k, const uint32_t* flat, size_t tuples,
+                        ProbeWorker* worker) {
+  const RTree& probe_tree = *relations_[k + 2].tree;
+  const std::vector<Rect>& prev_rects = *relations_[k + 1].rects;
+  const uint32_t arity = static_cast<uint32_t>(k + 2);
+  TraceSpan span(exec_.tracer, "exec", "probe_chunk", exec_.trace_pid,
+                 /*sampled=*/true);
+  const uint64_t modeled_before =
+      span.active() && io_ != nullptr ? io_->ActorClock(&worker->stats) : 0;
+  ++worker->chunks;
+  if (worker->private_prefetcher != nullptr && worker->hinted_phase != k) {
+    // Private pool: the worker's first chunk of a phase hints the probe
+    // root's children into its own pool.
+    HintProbeRoot(probe_tree, worker->pages, nullptr,
+                  worker->private_prefetcher.get(), &worker->stats);
+    worker->hinted_phase = k;
+  }
+  for (size_t t = 0; t < tuples; ++t) {
+    const uint32_t* tuple = flat + t * arity;
+    const uint32_t last = tuple[arity - 1];
+    RSJ_DCHECK(last < prev_rects.size());
+    worker->matches.clear();
+    ProbeChainWindow(probe_tree, worker->pages, nodes_, options_,
+                     prev_rects[last], &worker->stats, &worker->matches);
+    for (const uint32_t id : worker->matches) {
+      if (worker->writer != nullptr) {
+        worker->writer->AppendExtended(tuple, arity, id);
+        continue;
       }
-    }
-    std::function<void(size_t, FrontierChunk)> process_chunk;
-    // Pops one chunk from the deepest non-empty channel in [from, P) and
-    // processes it; false when every one of them is empty right now.
-    const auto help_one = [&](size_t from) {
-      for (size_t k = num_probe_phases; k-- > from;) {
-        FrontierChunk chunk;
-        if (channels[k]->TryPop(&chunk) ==
-            FrontierChannel::PopResult::kGot) {
-          process_chunk(k, std::move(chunk));
-          return true;
-        }
-      }
-      return false;
-    };
-    std::vector<std::unique_ptr<FrontierWriter>> writers(num_probe_phases);
-    for (size_t k = 0; k + 1 < num_probe_phases; ++k) {
-      FrontierChannel* const out = channels[k + 1].get();
-      const size_t next_phase = k + 1;
-      writers[k] = std::make_unique<FrontierWriter>(
-          static_cast<uint32_t>(k + 3), exec_options.chunk_capacity,
-          [&, out, next_phase](FrontierChunk chunk) {
-            while (!out->TryPush(&chunk)) {
-              // Help-on-full: drain downstream work until space frees.
-              if (!help_one(next_phase)) std::this_thread::yield();
-            }
-          },
-          &gauge);
-    }
-    process_chunk = [&](size_t k, FrontierChunk chunk) {
-      ++self->chunks;
-      TraceSpan span(exec_options.tracer, "exec", "probe_chunk",
-                     exec_options.trace_pid, /*sampled=*/true);
-      const uint64_t modeled_before =
-          span.active() && io != nullptr ? io->ActorClock(&self->stats) : 0;
-      const RTree& probe_tree = *relations[k + 2].tree;
-      const std::vector<Rect>& prev_rects = *relations[k + 1].rects;
-      const bool last_phase = k + 1 == num_probe_phases;
-      // The scratch is per invocation, not per worker: extending a tuple
-      // may push a full chunk, whose help-on-full path re-enters
-      // process_chunk on this same thread.
-      std::vector<uint32_t> matches;
-      const size_t tuples = chunk.tuple_count();
-      for (size_t t = 0; t < tuples; ++t) {
-        const uint32_t* tuple = chunk.tuple(t);
-        const uint32_t last = tuple[chunk.arity - 1];
-        RSJ_DCHECK(last < prev_rects.size());
-        matches.clear();
-        ProbeChainWindow(probe_tree, pages, nodes, options,
-                         prev_rects[last], &self->stats, &matches);
-        for (const uint32_t id : matches) {
-          if (last_phase) {
-            ++self->final_tuples;
-            if (self->spiller != nullptr) {
-              self->spiller->Append(tuple, chunk.arity, id);
-            } else if (collect_tuples) {
-              std::vector<uint32_t> full(tuple, tuple + chunk.arity);
-              full.push_back(id);
-              self->tuples.push_back(std::move(full));
-            }
-          } else {
-            writers[k]->AppendExtended(tuple, chunk.arity, id);
-          }
-        }
-      }
-      if (span.active()) {
-        if (io != nullptr) {
-          span.set_modeled_range(modeled_before,
-                                 io->ActorClock(&self->stats));
-        }
-        span.set_arg("tuples", tuples);
-      }
-      gauge.Sub(tuples);
-    };
-    size_t front = 0;  // channels [0, front) closed, my slots retired
-    while (front < num_probe_phases) {
-      if (help_one(front)) continue;
-      FrontierChunk chunk;
-      switch (channels[front]->TryPop(&chunk)) {
-        case FrontierChannel::PopResult::kGot:
-          process_chunk(front, std::move(chunk));
-          break;
-        case FrontierChannel::PopResult::kClosed:
-          // No phase-`front` chunk exists anywhere anymore: flush this
-          // worker's partial output and release its producer slot
-          // downstream, advancing the cascade.
-          if (front + 1 < num_probe_phases) {
-            writers[front]->Flush();
-            channels[front + 1]->RetireProducer();
-          }
-          ++front;
-          break;
-        case FrontierChannel::PopResult::kEmpty:
-          std::this_thread::yield();
-          break;
-      }
-    }
-    if (self->spiller != nullptr) {
-      // Seal + (possibly) spill the final partial chunk on this worker's
-      // own thread, so its timed writes are on this actor's clock.
-      self->spilled = self->spiller->Take();
-    }
-  };
-  if (exec_options.elastic_pipeline) {
-    elastic.reserve(num_threads);
-    for (unsigned w = 0; w < num_threads; ++w) {
-      auto worker = std::make_unique<PipelineProbeWorker>();
-      if (!exec_options.shared_pool) {
-        worker->private_pool = std::make_unique<BufferPool>(
-            BufferPool::Options{options.buffer_bytes, page_size,
-                                options.eviction_policy},
-            &worker->stats);
-        if (io != nullptr) worker->private_pool->AttachIoScheduler(io);
-        if (exec_options.prefetch) {
-          worker->private_prefetcher = std::make_unique<Prefetcher>(
-              worker->private_pool.get(),
-              Prefetcher::Options{exec_options.prefetch_ahead});
-        }
-      }
-      if (spill_on) {
-        worker->spiller = std::make_unique<TupleSpiller>(
-            static_cast<uint32_t>(relations.size()),
-            exec_options.chunk_capacity, spill_file.get(),
-            spill_budget.get(), &worker->stats);
-      }
-      PipelineProbeWorker* const self = worker.get();
-      TraceRecorder* const tracer = exec_options.tracer;
-      worker->thread = std::thread([&elastic_loop, self, tracer, w]() {
-        if (tracer != nullptr && tracer->enabled()) {
-          tracer->SetThreadName("probe-worker-" + std::to_string(w));
-        }
-        elastic_loop(self);
-      });
-      elastic.push_back(std::move(worker));
-    }
-  } else {
-    for (size_t k = 0; k < num_probe_phases; ++k) {
-      // Captured as pointers: the loop variables die before the threads do.
-      const RTree* const probe_tree = relations[k + 2].tree;
-      const std::vector<Rect>* const prev_rects = relations[k + 1].rects;
-      const bool last_phase = k + 1 == num_probe_phases;
-      FrontierChannel* const input = channels[k].get();
-      FrontierChannel* const output =
-          last_phase ? nullptr : channels[k + 1].get();
-      const uint32_t out_arity = static_cast<uint32_t>(k + 3);
-      teams[k].reserve(num_threads);
-      for (unsigned w = 0; w < num_threads; ++w) {
-        auto worker = std::make_unique<PipelineProbeWorker>();
-        if (!exec_options.shared_pool) {
-          worker->private_pool = std::make_unique<BufferPool>(
-              BufferPool::Options{options.buffer_bytes, page_size,
-                                  options.eviction_policy},
-              &worker->stats);
-          if (io != nullptr) worker->private_pool->AttachIoScheduler(io);
-          if (exec_options.prefetch) {
-            worker->private_prefetcher = std::make_unique<Prefetcher>(
-                worker->private_pool.get(),
-                Prefetcher::Options{exec_options.prefetch_ahead});
-          }
-        }
-        if (last_phase && spill_on) {
-          worker->spiller = std::make_unique<TupleSpiller>(
-              static_cast<uint32_t>(relations.size()),
-              exec_options.chunk_capacity, spill_file.get(),
-              spill_budget.get(), &worker->stats);
-        }
-        PipelineProbeWorker* const self = worker.get();
-        worker->thread = std::thread([&, self, probe_tree, prev_rects, input,
-                                      output, out_arity, last_phase, k, w]() {
-          TraceRecorder* const tracer = exec_options.tracer;
-          if (tracer != nullptr && tracer->enabled()) {
-            tracer->SetThreadName("probe-p" + std::to_string(k) + "-w" +
-                                  std::to_string(w));
-          }
-          PageCache* const pages =
-              exec_options.shared_pool
-                  ? static_cast<PageCache*>(shared)
-                  : self->private_pool.get();
-          NodeCache* const nodes = shared_nodes;
-          if (self->private_prefetcher != nullptr) {
-            // Private pool: hints scoped to this worker's own pool.
-            HintProbeRoot(*probe_tree, pages, nullptr,
-                          self->private_prefetcher.get(), &self->stats);
-          }
-          std::unique_ptr<FrontierWriter> writer;
-          if (output != nullptr) {
-            writer = std::make_unique<FrontierWriter>(
-                out_arity, exec_options.chunk_capacity, output, &gauge);
-          }
-          std::vector<uint32_t> matches;
-          FrontierChunk chunk;
-          while (input->Pop(&chunk)) {
-            ++self->chunks;
-            TraceSpan span(tracer, "exec", "probe_chunk",
-                           exec_options.trace_pid, /*sampled=*/true);
-            const uint64_t modeled_before =
-                span.active() && io != nullptr ? io->ActorClock(&self->stats)
-                                               : 0;
-            const size_t tuples = chunk.tuple_count();
-            for (size_t t = 0; t < tuples; ++t) {
-              const uint32_t* tuple = chunk.tuple(t);
-              const uint32_t last = tuple[chunk.arity - 1];
-              RSJ_DCHECK(last < prev_rects->size());
-              matches.clear();
-              ProbeChainWindow(*probe_tree, pages, nodes, options,
-                               (*prev_rects)[last], &self->stats, &matches);
-              for (const uint32_t id : matches) {
-                if (last_phase) {
-                  ++self->final_tuples;
-                  if (self->spiller != nullptr) {
-                    self->spiller->Append(tuple, chunk.arity, id);
-                  } else if (collect_tuples) {
-                    std::vector<uint32_t> full(tuple, tuple + chunk.arity);
-                    full.push_back(id);
-                    self->tuples.push_back(std::move(full));
-                  }
-                } else {
-                  writer->AppendExtended(tuple, chunk.arity, id);
-                }
-              }
-            }
-            if (span.active()) {
-              if (io != nullptr) {
-                span.set_modeled_range(modeled_before,
-                                       io->ActorClock(&self->stats));
-              }
-              span.set_arg("tuples", tuples);
-            }
-            gauge.Sub(tuples);
-          }
-          if (writer != nullptr) writer->Flush();
-          if (output != nullptr) output->RetireProducer();
-          if (self->spiller != nullptr) {
-            // Seal + (possibly) spill the final partial chunk on this
-            // worker's own thread, so its timed writes land before the
-            // coordinator drains and merges the clocks.
-            self->spilled = self->spiller->Take();
-          }
-        });
-        teams[k].push_back(std::move(worker));
+      ++worker->final_tuples;
+      if (worker->spiller != nullptr) {
+        worker->spiller->Append(tuple, arity, id);
+      } else if (collect_tuples_) {
+        std::vector<uint32_t>& full =
+            worker->tuples.emplace_back(tuple, tuple + arity);
+        full.push_back(id);
       }
     }
   }
+  if (span.active()) {
+    if (io_ != nullptr) {
+      span.set_modeled_range(modeled_before, io_->ActorClock(&worker->stats));
+    }
+    span.set_arg("tuples", tuples);
+  }
+}
 
-  // Phase 1: the partitioned pairwise executor, each worker's sink
-  // converting completed pair batches into frontier chunks pushed into
-  // channel 0 — blocking when the probes lag (backpressure), so the
-  // pairwise phase can never run away from its consumers.
-  std::vector<std::unique_ptr<FrontierWriter>> pair_writers;
-  std::vector<std::unique_ptr<BatchedCallbackSink>> pair_sinks;
-  pair_writers.reserve(num_threads);
-  pair_sinks.reserve(num_threads);
+// Phase 1: the partitioned pairwise executor over relations 0 ⋈ 1, each
+// worker's sink turning completed pair batches into frontier chunks for
+// channel 0. In a pipelined run the push blocks while the probes lag
+// (backpressure), so the pairwise phase cannot run away from its
+// consumers. Returns once every producer of channel 0 has retired.
+void ChainRun::RunPairwise(FrontierGauge* gauge) {
+  const unsigned num_threads = exec_.num_threads;
+  std::vector<std::unique_ptr<FrontierWriter>> writers;
+  std::vector<std::unique_ptr<BatchedCallbackSink>> sinks;
+  writers.reserve(num_threads);
+  sinks.reserve(num_threads);
   for (unsigned w = 0; w < num_threads; ++w) {
-    pair_writers.push_back(std::make_unique<FrontierWriter>(
-        /*arity=*/2, exec_options.chunk_capacity, channels[0].get(),
-        &gauge));
-    FrontierWriter* const writer = pair_writers.back().get();
-    pair_sinks.push_back(std::make_unique<BatchedCallbackSink>(
+    writers.push_back(std::make_unique<FrontierWriter>(
+        /*arity=*/2, exec_.chunk_capacity, channels_[0].get(), gauge));
+    FrontierWriter* const writer = writers.back().get();
+    sinks.push_back(std::make_unique<BatchedCallbackSink>(
         [writer](std::span<const ResultPair> batch) {
           writer->AppendPairBatch(batch);
         }));
   }
-  ParallelJoinResult pairwise = RunParallelSpatialJoinInto(
-      *relations[0].tree, *relations[1].tree, options, exec_options, shared,
-      shared_nodes,
-      [&pair_sinks](unsigned w) { return pair_sinks[w].get(); });
-  result.pairwise_task_count = pairwise.task_count;
-  result.partition_depth = pairwise.partition_depth;
-  result.total_stats.MergeFrom(pairwise.total_stats);
+  // The nested run does not own the I/O lifecycle (see
+  // RunParallelSpatialJoinInto): it retires its own actors, and the
+  // chain accounts the batch delta once, in Finish.
+  const ParallelJoinResult pairwise = RunParallelSpatialJoinInto(
+      *relations_[0].tree, *relations_[1].tree, options_, exec_, pool_,
+      nodes_, [&sinks](unsigned w) { return sinks[w].get(); });
+  result_.pairwise_task_count = pairwise.task_count;
+  result_.partition_depth = pairwise.partition_depth;
+  result_.total_stats.MergeFrom(pairwise.total_stats);
   for (size_t w = 0; w < pairwise.worker_stats.size(); ++w) {
-    result.worker_stats[w % num_threads].MergeFrom(pairwise.worker_stats[w]);
+    result_.worker_stats[w % num_threads].MergeFrom(pairwise.worker_stats[w]);
   }
-
-  // The pairwise phase is done: flush the partial chunks and retire the
-  // producers — closure then cascades phase by phase as each channel
-  // drains, and joining the teams in order rides the cascade down.
+  pairwise_elapsed_ = pairwise.modeled_elapsed_micros;
   for (unsigned w = 0; w < num_threads; ++w) {
-    pair_writers[w]->Flush();
-    channels[0]->RetireProducer();
+    writers[w]->Flush();
+    channels_[0]->RetireProducer();
   }
-  for (auto& team : teams) {
+}
+
+// No barrier: one bounded channel per phase boundary and one dedicated
+// team per probe phase, chunks handed downstream as they fill. Closure
+// cascades phase by phase as each channel drains. Returns the gauged peak
+// of tuples in flight.
+uint64_t ChainRun::RunPipelined() {
+  const unsigned num_threads = exec_.num_threads;
+  FrontierGauge gauge;
+  gauge.governor = exec_.memory_governor;
+  gauge.tuple_bytes = relations_.size() * sizeof(uint32_t);
+  // Every probe phase is live from the first pushed chunk, so all probe
+  // roots are hinted upfront.
+  for (size_t k = 0; k < phases(); ++k) {
+    HintPhase(k);
+    channels_.push_back(
+        std::make_unique<FrontierChannel>(exec_.channel_bound, num_threads));
+  }
+  // No unwind teardown (retire + join) guards the spawn loop: the library
+  // is exception-free by policy (common/logging.h — invariant failures
+  // abort), so any exception escaping here is already fatal.
+  teams_.resize(phases());
+  for (size_t k = 0; k < phases(); ++k) {
+    const bool last_phase = k + 1 == phases();
+    teams_[k].reserve(num_threads);
+    for (unsigned w = 0; w < num_threads; ++w) {
+      std::unique_ptr<ProbeWorker> worker = MakeWorker(last_phase);
+      if (!last_phase) {
+        worker->writer = std::make_unique<FrontierWriter>(
+            static_cast<uint32_t>(k + 3), exec_.chunk_capacity,
+            channels_[k + 1].get(), &gauge);
+      }
+      ProbeWorker* const self = worker.get();
+      worker->thread = std::thread([this, self, &gauge, k, w]() {
+        TraceRecorder* const tracer = exec_.tracer;
+        if (tracer != nullptr && tracer->enabled()) {
+          tracer->SetThreadName("probe-p" + std::to_string(k) + "-w" +
+                                std::to_string(w));
+        }
+        FrontierChunk chunk;
+        while (channels_[k]->Pop(&chunk)) {
+          RSJ_DCHECK(chunk.arity == k + 2);
+          const size_t tuples = chunk.tuple_count();
+          ProbeRun(k, chunk.flat.data(), tuples, self);
+          gauge.Sub(tuples);
+        }
+        if (self->writer != nullptr) {
+          self->writer->Flush();
+          channels_[k + 1]->RetireProducer();
+        }
+      });
+      teams_[k].push_back(std::move(worker));
+    }
+  }
+  RunPairwise(&gauge);
+  for (auto& team : teams_) {
     for (auto& worker : team) worker->thread.join();
   }
-  for (auto& worker : elastic) worker->thread.join();
+  for (const auto& channel : channels_) {
+    result_.probe_chunk_counts.push_back(
+        static_cast<size_t>(channel->chunks_pushed()));
+  }
+  result_.used_pipeline = true;
+  return gauge.peak.load(std::memory_order_relaxed);
+}
 
-  if (ctx.owns_io) {
-    io->Drain();
-    // The nested pairwise run did not own the I/O lifecycle (see
-    // RunParallelSpatialJoinInto), so the whole pipeline's batch delta is
-    // accounted here, once.
-    chain_coordinator.io_batches += io->io_batches() - io_batches_before;
-    result.modeled_elapsed_micros = io->SynchronizeClocks() - io_clock_before;
-  } else if (io != nullptr) {
-    // Borrowed lifecycle: the workers are joined (their spillers' timed
-    // Take() writes are on their clocks), so retire this chain's actors
-    // and measure elapsed against the floor at entry. The shared
-    // io_batches counter is left to the engine.
-    uint64_t finish = ctx.io_floor_before + pairwise.modeled_elapsed_micros;
-    finish = std::max(finish, io->RetireActor(&chain_coordinator));
-    for (auto& team : teams) {
-      for (auto& worker : team) {
-        finish = std::max(finish, io->RetireActor(&worker->stats));
+// A barrier after every phase: each probe phase starts once its
+// predecessor finished, over the whole frontier in one flat array, sliced
+// so that partition_multiplier × num_threads slices exist (the same "k"
+// as the pairwise partitioner). Returns the largest frontier.
+uint64_t ChainRun::RunMaterialized() {
+  const unsigned num_threads = exec_.num_threads;
+  // Unbounded channels: a phase's whole output waits for the barrier.
+  for (size_t k = 0; k < phases(); ++k) {
+    channels_.push_back(std::make_unique<FrontierChannel>(
+        std::numeric_limits<size_t>::max(), num_threads));
+  }
+  teams_.resize(1);
+  std::vector<std::unique_ptr<ProbeWorker>>& team = teams_[0];
+  for (unsigned w = 0; w < num_threads; ++w) {
+    team.push_back(MakeWorker(/*last_phase=*/true));
+  }
+  RunPairwise(/*gauge=*/nullptr);
+  if (io_ != nullptr) {
+    // The nested pairwise run retired its actors without raising the
+    // floor, so the barrier is modeled explicitly: every probe worker
+    // (and the hint coordinator) starts no earlier than its completion.
+    const uint64_t pair_end = io_floor_before_ + pairwise_elapsed_;
+    io_->AdvanceActorTo(&coordinator_, pair_end);
+    for (auto& worker : team) io_->AdvanceActorTo(&worker->stats, pair_end);
+  }
+
+  uint64_t frontier_peak = 0;
+  std::vector<uint32_t> frontier;
+  for (size_t k = 0; k < phases(); ++k) {
+    const size_t arity = k + 2;
+    const bool last_phase = k + 1 == phases();
+    // Every producer of channel k retired: it holds the whole frontier.
+    frontier.clear();
+    FrontierChunk chunk;
+    while (channels_[k]->Pop(&chunk)) {
+      frontier.insert(frontier.end(), chunk.flat.begin(), chunk.flat.end());
+    }
+    const size_t tuples = frontier.size() / arity;
+    frontier_peak = std::max<uint64_t>(frontier_peak, tuples);
+    for (auto& worker : team) {
+      worker->writer =
+          last_phase ? nullptr
+                     : std::make_unique<FrontierWriter>(
+                           static_cast<uint32_t>(arity + 1),
+                           exec_.chunk_capacity, channels_[k + 1].get(),
+                           /*gauge=*/nullptr);
+    }
+    // A zero partition_multiplier must not zero the divisor, and the
+    // ceiling division is computed overflow-safely (a huge frontier with
+    // `size + target - 1` would wrap before dividing).
+    const size_t target_slices = std::max<size_t>(
+        1, static_cast<size_t>(exec_.partition_multiplier) * num_threads);
+    const size_t slice_size = std::max<size_t>(
+        1, tuples / target_slices + (tuples % target_slices != 0 ? 1 : 0));
+    const size_t num_slices =
+        tuples / slice_size + (tuples % slice_size != 0 ? 1 : 0);
+    result_.probe_chunk_counts.push_back(num_slices);
+    if (num_slices > 0) {
+      HintPhase(k);
+      const unsigned phase_workers =
+          static_cast<unsigned>(std::min<size_t>(num_threads, num_slices));
+      const auto slice_body = [&](unsigned w, size_t slice) {
+        const size_t begin = slice * slice_size;
+        const size_t end = std::min(tuples, begin + slice_size);
+        ProbeRun(k, frontier.data() + begin * arity, end - begin,
+                 team[w].get());
+      };
+      TraceSpan phase_span(exec_.tracer, "exec", "probe_phase",
+                           exec_.trace_pid);
+      phase_span.set_arg("chunks", num_slices);
+      uint64_t phase_begin = std::numeric_limits<uint64_t>::max();
+      if (phase_span.active() && io_ != nullptr) {
+        for (unsigned w = 0; w < phase_workers; ++w) {
+          phase_begin =
+              std::min(phase_begin, io_->ActorClock(&team[w]->stats));
+        }
+      }
+      if (exec_.task_runner) {
+        exec_.task_runner(phase_workers, num_slices, slice_body);
+      } else {
+        TaskScheduler scheduler(phase_workers, num_slices);
+        scheduler.Run(slice_body);
+      }
+      if (phase_span.active() && io_ != nullptr) {
+        uint64_t phase_end = phase_begin;
+        for (unsigned w = 0; w < phase_workers; ++w) {
+          phase_end = std::max(phase_end, io_->ActorClock(&team[w]->stats));
+        }
+        phase_span.set_modeled_range(phase_begin, phase_end);
       }
     }
-    for (auto& worker : elastic) {
-      finish = std::max(finish, io->RetireActor(&worker->stats));
+    if (!last_phase) {
+      for (auto& worker : team) {
+        worker->writer->Flush();
+        channels_[k + 1]->RetireProducer();
+      }
     }
-    result.modeled_elapsed_micros = finish - ctx.io_floor_before;
   }
-  result.total_stats.MergeFrom(chain_coordinator);
+  return frontier_peak;
+}
 
-  // Merge worker outputs: per-phase teams, or the one elastic team whose
-  // every worker may have served every phase.
-  const auto merge_worker = [&](unsigned w, PipelineProbeWorker& worker) {
-    result.worker_probe_chunks[w] += worker.chunks;
-    result.worker_stats[w].MergeFrom(worker.stats);
-    result.total_stats.MergeFrom(worker.stats);
-    result.tuple_count += worker.final_tuples;
-    if (spill_on) {
-      result.spilled_tuples.MergeFrom(std::move(worker.spilled));
+// The shared epilogue: seal the spillers, close the modeled clocks, merge
+// worker stats and outputs, and gauge the resident result chunks.
+void ChainRun::Finish(uint64_t frontier_peak) {
+  // Seal the last phase's partial chunks before the clocks merge, so
+  // their timed writes (charged to each worker's clock) are in the model.
+  for (auto& team : teams_) {
+    for (auto& worker : team) {
+      if (worker->spiller != nullptr) {
+        result_.spilled_tuples.MergeFrom(worker->spiller->Take());
+      }
     }
-    if (collect_tuples && !worker.tuples.empty()) {
-      if (result.tuples.empty()) {
-        result.tuples = std::move(worker.tuples);
+  }
+  if (owns_io_) {
+    io_->Drain();
+    coordinator_.io_batches += io_->io_batches() - io_batches_before_;
+    result_.modeled_elapsed_micros =
+        io_->SynchronizeClocks() - io_clock_before_;
+  } else if (io_ != nullptr) {
+    // Borrowed lifecycle: retire this chain's actors and measure elapsed
+    // against the floor at entry. The shared io_batches counter is left
+    // to the engine.
+    uint64_t finish = io_floor_before_ + pairwise_elapsed_;
+    finish = std::max(finish, io_->RetireActor(&coordinator_));
+    for (auto& team : teams_) {
+      for (auto& worker : team) {
+        finish = std::max(finish, io_->RetireActor(&worker->stats));
+      }
+    }
+    result_.modeled_elapsed_micros = finish - io_floor_before_;
+  }
+  result_.total_stats.MergeFrom(coordinator_);
+
+  result_.worker_probe_chunks.assign(exec_.num_threads, 0);
+  for (auto& team : teams_) {
+    for (unsigned w = 0; w < team.size(); ++w) {
+      ProbeWorker& worker = *team[w];
+      result_.worker_probe_chunks[w] += worker.chunks;
+      result_.worker_stats[w].MergeFrom(worker.stats);
+      result_.total_stats.MergeFrom(worker.stats);
+      result_.tuple_count += worker.final_tuples;
+      if (result_.tuples.empty()) {
+        result_.tuples = std::move(worker.tuples);
       } else {
-        result.tuples.reserve(result.tuples.size() + worker.tuples.size());
+        result_.tuples.reserve(result_.tuples.size() + worker.tuples.size());
         for (auto& tuple : worker.tuples) {
-          result.tuples.push_back(std::move(tuple));
+          result_.tuples.push_back(std::move(tuple));
         }
       }
     }
-  };
-  result.worker_probe_chunks.assign(num_threads, 0);
-  for (size_t k = 0; k < num_probe_phases; ++k) {
-    result.probe_chunk_counts.push_back(
-        static_cast<size_t>(channels[k]->chunks_pushed()));
-    if (!exec_options.elastic_pipeline) {
-      for (unsigned w = 0; w < num_threads; ++w) {
-        merge_worker(w, *teams[k][w]);
-      }
-    }
   }
-  for (unsigned w = 0; w < static_cast<unsigned>(elastic.size()); ++w) {
-    merge_worker(w, *elastic[w]);
+  result_.total_stats.frontier_peak_tuples =
+      std::max(result_.total_stats.frontier_peak_tuples, frontier_peak);
+  if (spill_on_) {
+    result_.spilled_tuples.arity = static_cast<uint32_t>(relations_.size());
+    result_.spilled_tuples.file = std::move(spill_file_);
+    result_.total_stats.NoteResultChunksResident(spill_budget_->peak());
+  } else if (collect_tuples_) {
+    // Collected tuple vectors report the whole output in chunk-capacity
+    // units through an unbounded gauge, which also mirrors the bytes into
+    // the run-wide governor — spill-on/off A/Bs compare one counter and
+    // one ledger.
+    ResidentBudget gauge(ResidentBudget::kUnbounded, exec_.memory_governor,
+                         MemoryCategory::kResultChunks,
+                         TupleChunkBytes(exec_, relations_.size()));
+    const uint64_t cap = exec_.chunk_capacity;
+    const uint64_t held = (result_.tuple_count + cap - 1) / cap;
+    for (uint64_t c = 0; c < held; ++c) gauge.Admit();
+    result_.total_stats.NoteResultChunksResident(gauge.peak());
   }
-  result.total_stats.frontier_peak_tuples =
-      std::max(result.total_stats.frontier_peak_tuples,
-               gauge.peak.load(std::memory_order_relaxed));
-  if (spill_on) {
-    result.spilled_tuples.arity = static_cast<uint32_t>(relations.size());
-    result.spilled_tuples.file = std::move(spill_file);
-    result.total_stats.NoteResultChunksResident(spill_budget->peak());
-  } else if (collect_tuples) {
-    // Materialized tuple vectors report their whole collected output in
-    // chunk-capacity units through an unbounded gauge, which also mirrors
-    // the bytes into the run-wide governor — spill-on/off A/Bs compare
-    // one counter and one ledger.
-    ResidentBudget out_gauge(ResidentBudget::kUnbounded,
-                             exec_options.memory_governor,
-                             MemoryCategory::kResultChunks,
-                             tuple_chunk_bytes);
-    const uint64_t cap = exec_options.chunk_capacity;
-    const uint64_t held = (result.tuple_count + cap - 1) / cap;
-    for (uint64_t c = 0; c < held; ++c) out_gauge.Admit();
-    result.total_stats.NoteResultChunksResident(out_gauge.peak());
-  }
-  return result;
+}
+
+ParallelChainJoinResult ChainRun::Run() {
+  const uint64_t frontier_peak =
+      exec_.pipelined ? RunPipelined() : RunMaterialized();
+  Finish(frontier_peak);
+  return std::move(result_);
 }
 
 }  // namespace
@@ -1109,14 +775,13 @@ ParallelChainJoinResult RunParallelChainSpatialJoinWith(
   if (exec_options.num_threads <= 1) {
     return SequentialChainFallback(relations, options, collect_tuples);
   }
-  // A 2-relation chain has no probe phases — nothing to pipeline; both
-  // formulations reduce to the pairwise executor.
-  if (exec_options.pipelined && relations.size() > 2) {
-    return RunPipelinedChain(relations, options, exec_options, collect_tuples,
-                             shared_pool, node_cache);
+  if (relations.size() == 2) {
+    return RunPairChain(relations, options, exec_options, collect_tuples,
+                        shared_pool, node_cache);
   }
-  return RunMaterializedChain(relations, options, exec_options,
-                              collect_tuples, shared_pool, node_cache);
+  return ChainRun(relations, options, exec_options, collect_tuples,
+                  shared_pool, node_cache)
+      .Run();
 }
 
 ParallelChainJoinResult RunParallelChainSpatialJoin(

@@ -1,21 +1,17 @@
 // Parallel multi-way chain join on the execution subsystem.
 //
-// PR 2 parallelized the chain join but materialized the entire tuple
-// frontier between probe phases, so peak memory scaled with the largest
-// intermediate result. The default formulation here is a streaming
-// pipeline instead:
+// One executor runs every parallel chain. Its one scheduling choice is
+// `exec_options.pipelined`, which the planner (engine/planner.h) sets from
+// the estimated frontier; both settings run the same parts:
 //
 //   1. phase 1 (relations 0 ⋈ 1) runs the partitioned pairwise executor —
 //      depth-adaptive plan, work-stealing scheduler — with every worker's
-//      sink converting completed pair batches into FrontierChunks that are
-//      pushed straight into the first probe phase's bounded channel,
-//   2. every probe phase k has a dedicated worker team popping chunks from
-//      its input channel as they arrive, probing with ProbeChainWindow,
-//      and pushing its own completed chunks into phase k+1's channel —
-//      per-chunk handoff, no inter-phase barrier; the channel bound gives
-//      backpressure, so peak frontier memory is capped at
-//      O(chunks-in-flight × chunk_capacity) instead of O(|frontier|),
-//      which `Statistics::frontier_peak_tuples` proves per run,
+//      sink converting completed pair batches into FrontierChunks that go
+//      into the first probe phase's channel (exec/frontier_channel.h),
+//   2. every probe phase k extends each tuple of its input with
+//      ProbeChainWindow, writing the extensions as chunks into phase
+//      k+1's channel, or in the last phase to the final output (a count,
+//      collected tuples, or the bounded spill set),
 //   3. in shared-pool mode one SharedBufferPool and one NodeCache span all
 //      phases and workers; in private-pool mode every worker (pairwise and
 //      probe) owns a pool, and with prefetch enabled each probe worker
@@ -25,10 +21,22 @@
 //   4. per-worker Statistics and outputs are merged exactly like
 //      RunParallelSpatialJoin's.
 //
-// `exec_options.pipelined = false` selects the PR 2 materialized
-// formulation (whole-frontier barrier between phases), kept as the A/B
-// baseline: bench_multiway_scaling asserts the pipeline's peak frontier is
-// strictly below the materialized one on identical results.
+// The formulations differ only in where the phase barrier sits:
+//
+//   * pipelined (`pipelined = true`): no barrier. Every probe phase has a
+//     dedicated worker team popping chunks as they arrive, and the channel
+//     bound gives backpressure, so peak frontier memory is capped at
+//     O(chunks-in-flight × chunk_capacity) instead of O(|frontier|), which
+//     `Statistics::frontier_peak_tuples` proves per run;
+//   * materialized (`pipelined = false`): a barrier after every phase.
+//     Each probe phase starts once its predecessor finished and fans the
+//     whole frontier, one flat array, out in slices over the task
+//     scheduler. Its frontier_peak_tuples is the largest whole frontier.
+//     The planner picks it when the frontier is small enough that the
+//     barrier costs nothing worth bounding.
+//
+// A 2-relation chain has no probe phase and runs as the pairwise executor
+// in either setting.
 //
 // Tuples are disjoint work units and every tuple is probed exactly once,
 // so the union of the workers' outputs is the sequential chain result as
@@ -74,8 +82,8 @@ struct ParallelChainJoinResult {
   size_t pairwise_task_count = 0;
   int partition_depth = 0;
   // Frontier chunks per probe phase (one entry per phase >= 2): chunks
-  // pushed through the phase's channel when pipelined, chunks scheduled
-  // when materialized.
+  // pushed through the phase's channel when pipelined, frontier slices
+  // scheduled when materialized.
   std::vector<size_t> probe_chunk_counts;
   // Probe chunks each worker slot executed, summed over all probe phases
   // (work stealing / channel scheduling balances these).
@@ -83,9 +91,6 @@ struct ParallelChainJoinResult {
   bool used_shared_pool = false;
   bool used_node_cache = false;
   bool used_pipeline = false;
-  // The pipeline ran the elastic shared probe team
-  // (exec_options.elastic_pipeline) instead of dedicated per-phase teams.
-  bool used_elastic = false;
   // Advance of the modeled I/O clock across the whole chain (0 without an
   // exec_options.io_scheduler).
   uint64_t modeled_elapsed_micros = 0;

@@ -98,29 +98,20 @@ struct ParallelExecutorOptions {
   // on the simulated disk array.
   uint32_t spill_page_size = kPageSize4K;
 
-  // --- multiway streaming pipeline (exec/multiway_executor.h) ---
+  // --- multiway chain executor (exec/multiway_executor.h) ---
 
-  // true: probe phases consume the previous phase's chunks through
-  // bounded channels as they are produced (no inter-phase barrier; peak
-  // frontier memory capped at O(chunks in flight × chunk_capacity)).
-  // false: the materialized A/B baseline — every phase barriers on the
-  // full frontier of its predecessor.
+  // The chain executor's one scheduling choice, which the planner
+  // (engine/planner.h) sets from the estimated frontier. true: probe
+  // phases consume the previous phase's chunks through bounded channels
+  // as they are produced — no inter-phase barrier, peak frontier memory
+  // capped at O(chunks in flight × chunk_capacity). false: every phase
+  // barriers on the whole frontier of its predecessor — the planner's
+  // plan for small frontiers. Both run the same probe code.
   bool pipelined = true;
 
   // Chunks buffered per phase boundary before producers block
-  // (backpressure). Must be >= 1.
+  // (backpressure; pipelined chains only). Must be >= 1.
   size_t channel_bound = 16;
-
-  // Elastic probe teams (pipelined chains with >= 3 relations only): one
-  // shared team of num_threads workers services EVERY probe phase —
-  // each worker scans the phase channels deepest-first and processes
-  // whatever chunk is available, so workers whose phase is starved help
-  // earlier phases instead of idling, and total probe threads stay
-  // num_threads instead of num_threads × phases. A producer that finds
-  // its output channel full drains downstream chunks itself (help-on-
-  // full), which keeps the bounded channels deadlock-free: the final
-  // phase never pushes. false: the dedicated per-phase teams.
-  bool elastic_pipeline = false;
 
   // --- simulated asynchronous I/O (src/io/) ---
 

@@ -1,9 +1,9 @@
 // Tests for the parallel multi-way chain executor: exact tuple-multiset
 // equivalence with the sequential chain join across chain lengths, thread
-// counts, predicates, pool modes and both formulations (streaming
-// pipeline vs materialized baseline), the decode savings of the shared
-// node cache, the bounded-channel backpressure, and the pipeline's
-// frontier-memory ceiling (frontier_peak_tuples).
+// counts, predicates, pool modes and both settings of the one scheduling
+// choice (streaming pipeline vs materialized barriers), the decode savings
+// of the shared node cache, the bounded-channel backpressure, and the
+// pipeline's frontier-memory ceiling (frontier_peak_tuples).
 
 #include "exec/multiway_executor.h"
 
@@ -93,65 +93,36 @@ TEST_F(MultiwayExecTest, MatchesSequentialAcrossThreadsAndPredicates) {
   }
 }
 
-TEST_F(MultiwayExecTest, ElasticPipelineMatchesDedicatedTeams) {
-  // The elastic shared probe team must produce the exact tuple multiset
-  // of the dedicated-team pipeline (and of the sequential chain), with
-  // num_threads total probe workers instead of num_threads × phases.
+TEST_F(MultiwayExecTest, PrivatePoolModeMatchesToo) {
+  // The default channel, and a tight one whose bound of 2 keeps the
+  // dedicated probe teams blocking on backpressure.
+  struct Channel {
+    size_t bound;
+    size_t chunk_capacity;
+  };
   for (const size_t chain_len : {size_t{3}, size_t{4}}) {
     const auto chain = Chain(chain_len);
     JoinOptions jopt;
     jopt.algorithm = JoinAlgorithm::kSJ4;
     auto sequential = RunChainSpatialJoin(chain, jopt, true);
     std::sort(sequential.tuples.begin(), sequential.tuples.end());
-    for (const unsigned threads : {2u, 4u}) {
-      for (const bool shared_pool : {true, false}) {
+    for (const Channel channel : {Channel{16, 1024}, Channel{2, 64}}) {
+      for (const bool pipelined : {true, false}) {
         ParallelExecutorOptions exec;
-        exec.num_threads = threads;
-        exec.pipelined = true;
-        exec.elastic_pipeline = true;
-        exec.shared_pool = shared_pool;
-        // A tight bound exercises the help-on-full path.
-        exec.channel_bound = 2;
-        exec.chunk_capacity = 64;
+        exec.num_threads = 4;
+        exec.shared_pool = false;
+        exec.pipelined = pipelined;
+        exec.channel_bound = channel.bound;
+        exec.chunk_capacity = channel.chunk_capacity;
         auto parallel = RunParallelChainSpatialJoin(chain, jopt, exec, true);
-        EXPECT_TRUE(parallel.used_pipeline);
-        EXPECT_TRUE(parallel.used_elastic)
-            << "chain=" << chain_len << " threads=" << threads;
-        EXPECT_EQ(parallel.tuple_count, sequential.tuple_count);
+        EXPECT_FALSE(parallel.used_shared_pool);
+        EXPECT_FALSE(parallel.used_node_cache);
         std::sort(parallel.tuples.begin(), parallel.tuples.end());
         EXPECT_EQ(parallel.tuples, sequential.tuples)
-            << "chain=" << chain_len << " threads=" << threads
-            << " shared_pool=" << shared_pool;
+            << "chain=" << chain_len << " pipelined=" << pipelined
+            << " bound=" << channel.bound;
       }
     }
-  }
-  // The dedicated-team pipeline reports used_elastic = false.
-  ParallelExecutorOptions exec;
-  exec.num_threads = 2;
-  exec.pipelined = true;
-  JoinOptions jopt;
-  auto dedicated = RunParallelChainSpatialJoin(Chain(3), jopt, exec, false);
-  EXPECT_TRUE(dedicated.used_pipeline);
-  EXPECT_FALSE(dedicated.used_elastic);
-}
-
-TEST_F(MultiwayExecTest, PrivatePoolModeMatchesToo) {
-  const auto chain = Chain(3);
-  JoinOptions jopt;
-  jopt.algorithm = JoinAlgorithm::kSJ4;
-  auto sequential = RunChainSpatialJoin(chain, jopt, true);
-  std::sort(sequential.tuples.begin(), sequential.tuples.end());
-  for (const bool pipelined : {true, false}) {
-    ParallelExecutorOptions exec;
-    exec.num_threads = 4;
-    exec.shared_pool = false;
-    exec.pipelined = pipelined;
-    auto parallel = RunParallelChainSpatialJoin(chain, jopt, exec, true);
-    EXPECT_FALSE(parallel.used_shared_pool);
-    EXPECT_FALSE(parallel.used_node_cache);
-    std::sort(parallel.tuples.begin(), parallel.tuples.end());
-    EXPECT_EQ(parallel.tuples, sequential.tuples)
-        << "pipelined=" << pipelined;
   }
 }
 

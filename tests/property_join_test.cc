@@ -12,17 +12,22 @@
 //   streaming-refined             (on a seed subset, exact polylines)
 //
 // and requires the SORTED PAIR MULTISET of every variant to equal the
-// oracle's. Any failure prints the reproducing seed via SCOPED_TRACE.
+// oracle's. A second sweep runs random 3- and 4-relation chains through
+// every configuration of the parallel chain executor against a
+// nested-loop chain oracle. Any failure prints the reproducing seed via SCOPED_TRACE.
 // Workloads stay small (40..120 objects) so the full sweep is fast under
 // TSan, where this suite doubles as a race hunt over the parallel and
 // sharded paths.
 
+#include <algorithm>
+#include <memory>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "datagen/rng.h"
+#include "exec/multiway_executor.h"
 #include "geom/comparison_counter.h"
 #include "geom/segment.h"
 #include "join/join_runner.h"
@@ -233,6 +238,103 @@ TEST(PropertyJoin, StreamingRefinementMatchesInlineAndOracle) {
     EXPECT_EQ(streaming.candidate_pairs, candidates);
     EXPECT_EQ(streaming.result_pairs, results);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Parallel chain executor vs a nested-loop chain oracle.
+
+constexpr uint64_t kChainSeeds = 60;
+
+// Every tuple (a_0, ..., a_{n-1}) with pred(a_i, a_{i+1}) for each
+// consecutive pair, by extending prefixes one relation at a time.
+std::vector<std::vector<uint32_t>> ChainOracle(
+    const std::vector<std::vector<Rect>>& rels, const JoinOptions& join) {
+  ComparisonCounter counter;
+  std::vector<std::vector<uint32_t>> tuples;
+  for (uint32_t i = 0; i < rels[0].size(); ++i) tuples.push_back({i});
+  for (size_t k = 1; k < rels.size(); ++k) {
+    std::vector<std::vector<uint32_t>> extended;
+    for (const std::vector<uint32_t>& tuple : tuples) {
+      const Rect& last = rels[k - 1][tuple.back()];
+      for (uint32_t j = 0; j < rels[k].size(); ++j) {
+        if (EvaluatePredicateCounted(join.predicate, join.epsilon, last,
+                                     rels[k][j], &counter)) {
+          extended.push_back(tuple);
+          extended.back().push_back(j);
+        }
+      }
+    }
+    tuples = std::move(extended);
+  }
+  std::sort(tuples.begin(), tuples.end());
+  return tuples;
+}
+
+TEST(PropertyJoin, ParallelChainMatchesNestedLoopOracle) {
+  uint64_t total_tuples = 0;
+  for (uint64_t seed = 0; seed < kChainSeeds; ++seed) {
+    SCOPED_TRACE(::testing::Message() << "chain seed=" << seed);
+    Rng rng(seed * 104729 + 7);
+    const size_t length = 3 + seed % 2;
+    std::vector<std::vector<Rect>> rects;
+    for (size_t k = 0; k < length; ++k) {
+      const size_t count = 80 + rng.UniformInt(60);
+      const uint64_t data_seed = seed * 16 + k + 1;
+      rects.push_back(seed % 2 == 0
+                          ? testutil::RandomRects(count, data_seed, 0.1)
+                          : testutil::ClusteredRects(count, data_seed, 4,
+                                                     0.06));
+    }
+    JoinOptions join;
+    if (seed % 3 == 1) {
+      join.predicate = JoinPredicate::kWithinDistance;
+      join.epsilon = rng.Uniform(0.0, 0.03);
+    }
+    const auto expected = ChainOracle(rects, join);
+    total_tuples += expected.size();
+
+    RTreeOptions topt;
+    topt.page_size = kPageSize1K;
+    std::vector<std::unique_ptr<IndexedRelation>> indexed;
+    std::vector<JoinRelation> chain;
+    for (const auto& r : rects) {
+      indexed.push_back(std::make_unique<IndexedRelation>(r, topt));
+      ASSERT_GE(indexed.back()->tree().height(), 2);
+      chain.push_back({&indexed.back()->tree(), &r});
+    }
+
+    for (const bool pipelined : {true, false}) {
+      for (const bool spill : {true, false}) {
+        for (const bool shared_pool : {true, false}) {
+          for (const unsigned threads : {1u, 2u, 4u}) {
+            ParallelExecutorOptions exec;
+            exec.num_threads = threads;
+            exec.pipelined = pipelined;
+            exec.spill_results = spill;
+            exec.spill_budget_chunks = 2;
+            exec.shared_pool = shared_pool;
+            exec.channel_bound = 1;
+            exec.chunk_capacity = 4;
+            const ParallelChainJoinResult got =
+                RunParallelChainSpatialJoin(chain, join, exec, true);
+            std::vector<std::vector<uint32_t>> tuples = got.tuples;
+            if (spill && threads > 1) {
+              EXPECT_TRUE(got.tuples.empty());
+              Statistics read_stats;
+              tuples = got.spilled_tuples.CopyTuples(&read_stats);
+            }
+            std::sort(tuples.begin(), tuples.end());
+            EXPECT_EQ(got.tuple_count, expected.size());
+            EXPECT_EQ(tuples, expected)
+                << "pipelined=" << pipelined << " spill=" << spill
+                << " shared_pool=" << shared_pool << " threads=" << threads;
+          }
+        }
+      }
+    }
+  }
+  // The sweep exercised real chains, not empty ones.
+  EXPECT_GT(total_tuples, 5000u);
 }
 
 }  // namespace

@@ -317,13 +317,14 @@ TEST(SpillMultiwayTest, SpilledTuplesMatchCollectedMaterialized) {
   EXPECT_EQ(spilled.tuple_count, collected.tuple_count);
   EXPECT_TRUE(spilled.tuples.empty());
   EXPECT_EQ(spilled.spilled_tuples.tuple_count, collected.tuple_count);
-  // Only the final phase's tuples flow through the spiller; the whole
-  // intermediate pairwise frontier stays collected (that is the point of
-  // the materialized A/B baseline) and dominates the reported peak, so the
-  // budget shows up as spill traffic rather than a global resident bound.
+  // The barrier holds each whole intermediate frontier, but as frontier
+  // tuples (frontier_peak_tuples), not as result chunks: only the final
+  // phase's tuples flow through the spiller, so the resident peak is the
+  // spill budget, independent of thread scheduling.
   EXPECT_GT(spilled.total_stats.result_chunks_spilled, 0u);
   EXPECT_LE(spilled.total_stats.result_peak_chunks_resident,
             collected.total_stats.result_peak_chunks_resident);
+  EXPECT_LE(spilled.total_stats.result_peak_chunks_resident, 2u);
 
   Statistics read_stats;
   auto tuples = spilled.spilled_tuples.CopyTuples(&read_stats);
