@@ -44,6 +44,11 @@ const char* TestCaseName(TestCase test) {
   return "?";
 }
 
+// GCC 12 libstdc++ -Wrestrict false positive in the inlined string assign.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wrestrict"
+#endif
 Workload MakeWorkload(TestCase test, double scale) {
   RSJ_CHECK(scale > 0.0 && scale <= 1.0);
   Workload w;
@@ -97,5 +102,8 @@ Workload MakeWorkload(TestCase test, double scale) {
   }
   return w;
 }
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
 
 }  // namespace rsj

@@ -29,21 +29,10 @@ void DecideFromEstimate(const PlannerOptions& options, PlanChoice* plan) {
 
 PlanChoice PlanPairJoin(const RTree& r, const RTree& s,
                         const PlannerOptions& options) {
-  return PlanPairJoin(r, s, options, /*exact_geometry=*/false);
-}
-
-PlanChoice PlanPairJoin(const RTree& r, const RTree& s,
-                        const PlannerOptions& options, bool exact_geometry) {
   PlanChoice plan;
   plan.estimate = EstimateJoinCost(r, s);
   DecideFromEstimate(options, &plan);
   plan.pipelined = true;  // meaningless for a pairwise join
-  // The estimated MBR-join output is the refinement tier's candidate
-  // count: signature construction only amortizes past the floor.
-  plan.refine_raster = exact_geometry &&
-                       plan.estimate.result_pairs >=
-                           options.raster_candidate_floor;
-  plan.raster_grid_bits = options.raster_grid_bits;
   // Declustered execution: past the size floor, and only when the
   // estimated join CPU amortizes re-packing both sides into per-shard
   // trees (pairwise joins only — chains keep the single-tree pipeline).
@@ -53,6 +42,12 @@ PlanChoice PlanPairJoin(const RTree& r, const RTree& s,
           options.shard_build_advantage * plan.estimate.build_comparisons;
   plan.shard_count = options.shard_count;
   return plan;
+}
+
+PlanChoice PlanPairJoin(const RTree& r, const RTree& s,
+                        const PlannerOptions& options,
+                        bool /*exact_geometry*/) {
+  return PlanPairJoin(r, s, options);
 }
 
 PlanChoice PlanChainJoin(const std::vector<JoinRelation>& relations,

@@ -33,13 +33,11 @@
 //                 enable schedule-driven prefetching with a
 //                 `prefetch_ahead` window; tiny joins skip the hint
 //                 traffic.
-//   * refine    — when the query asks for exact geometry, an estimated
-//                 candidate count (the MBR-join output) past
-//                 `raster_candidate_floor` turns on the raster-interval
-//                 intermediate tier (geom/raster_interval.h): signature
-//                 construction amortizes over many candidate pairs, so
-//                 tiny candidate sets skip it and go straight to the
-//                 segment tests.
+//   * refine    — always exact-only. The raster-interval tier
+//                 (geom/raster_interval.h) is a hand-set option
+//                 (PlanChoice::refine_raster): it was 5–50× slower than
+//                 exact-only on tests A, B and E at scales 0.05–1.0, as
+//                 signatures cost more than the short-chain tests they save.
 //   * sharded   — pairwise joins whose estimated page reads pass
 //                 `shard_page_read_floor` AND whose estimated join CPU
 //                 amortizes the per-shard tree rebuilds (the estimator's
@@ -81,11 +79,6 @@ struct PlannerOptions {
   double prefetch_page_read_floor = 2000;
   // Async-read window handed to the prefetcher when it is chosen.
   size_t prefetch_ahead = 32;
-  // Estimated candidate pairs at or above which an exact-geometry query
-  // runs the raster-interval tier before the segment tests.
-  double raster_candidate_floor = 5000;
-  // Grid resolution handed to the tier when it is chosen.
-  unsigned raster_grid_bits = 14;
   // Size floor of declustered (sharded) execution: estimated page reads
   // at or above which partition-then-join is considered at all — below
   // it one tree pair fits one node and sharding only adds build work.
@@ -106,7 +99,7 @@ struct PlanChoice {
   size_t spill_budget_chunks = 64;
   bool prefetch = false;
   size_t prefetch_ahead = 32;
-  // Two-tier refinement (only set when planning an exact-geometry query).
+  // Two-tier refinement: never planned, only set by hand (see "refine").
   bool refine_raster = false;
   unsigned raster_grid_bits = 14;
   // Declustered execution (src/shard/): chosen for pairwise joins past
@@ -127,10 +120,9 @@ struct PlanChoice {
   std::string Describe() const;
 };
 
-// Plans a pairwise join R ⋈ S. `exact_geometry` marks a query whose
-// candidates will be refined on the exact chains (join/refinement.h);
-// only those queries can earn the raster tier. The two-argument form
-// plans an MBR-only join.
+// Plans a pairwise join R ⋈ S. `exact_geometry` (candidates refined on
+// the exact chains, join/refinement.h) does not change the plan: every
+// plan refines exact-only.
 PlanChoice PlanPairJoin(const RTree& r, const RTree& s,
                         const PlannerOptions& options);
 PlanChoice PlanPairJoin(const RTree& r, const RTree& s,

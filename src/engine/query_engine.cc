@@ -17,23 +17,28 @@ IoScheduler::Options IoWithTracer(IoScheduler::Options io,
   return io;
 }
 
+// GCC 12 libstdc++ -Wrestrict false positive in the inlined string concat.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wrestrict"
+#endif
 std::string SessionLabel(const QuerySpec& spec, uint64_t query_id) {
   return spec.label.empty() ? "q" + std::to_string(query_id) : spec.label;
 }
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
 
 // Planner-informed admission estimate: the bytes this session plausibly
 // holds resident at peak, instead of one flat number for every query.
 //   * frontier — the chain pipeline's estimated peak intermediate tuples,
 //   * results  — bounded by the spill budget when spilling was chosen,
 //     else the estimated result cardinality (materialized unbounded);
-//     counting-only queries hold no result pairs at all,
-//   * raster   — a per-object signature model when the refine tier is on.
+//     counting-only queries hold no result pairs at all.
 uint64_t PlannedReserveBytes(const PlanChoice& plan, const QuerySpec& spec,
                              size_t chunk_capacity) {
-  // Model constants: a frontier tuple is a few ids plus chunk overhead;
-  // thin-chain raster signatures average well under 64 bytes per object.
+  // Model constant: a frontier tuple is a few ids plus chunk overhead.
   constexpr double kTupleBytes = 16.0;
-  constexpr double kSignatureBytesPerObject = 64.0;
   constexpr uint64_t kFloorBytes = 64 * 1024;
   double bytes = plan.peak_intermediate_tuples * kTupleBytes;
   if (spec.collect) {
@@ -41,11 +46,6 @@ uint64_t PlannedReserveBytes(const PlanChoice& plan, const QuerySpec& spec,
                               static_cast<double>(chunk_capacity) *
                               sizeof(ResultPair)
                         : plan.estimate.result_pairs * sizeof(ResultPair);
-  }
-  if (plan.refine_raster) {
-    uint64_t objects = 0;
-    for (const JoinRelation& rel : spec.relations) objects += rel.tree->size();
-    bytes += static_cast<double>(objects) * kSignatureBytesPerObject;
   }
   return std::max(kFloorBytes, static_cast<uint64_t>(bytes));
 }

@@ -169,9 +169,8 @@ class QueryEngine {
     uint64_t session_reserve_bytes = 1 << 20;
     // true: sessions whose spec uses the planner reserve a
     // planner-informed estimate of their peak resident bytes (pipeline
-    // frontier + result chunks under the spill budget + raster
-    // signatures when that tier is chosen) instead of the flat
-    // session_reserve_bytes — small queries then reserve less, and more
+    // frontier + result chunks under the spill budget) instead of the
+    // flat session_reserve_bytes — small queries then reserve less, and more
     // of them fit under a tight memory budget. The plan computed at
     // submit is reused when the session runs. Planner-opted-out specs
     // keep the flat reservation.

@@ -1,7 +1,6 @@
 #include "geom/segment.h"
 
 #include "common/logging.h"
-#include "geom/simd_kernels.h"
 
 namespace rsj {
 
@@ -45,24 +44,16 @@ bool PolylinesIntersect(std::span<const Point> a, std::span<const Point> b) {
   if (a.empty() || b.empty()) return false;
   const size_t na = a.size() == 1 ? 1 : a.size() - 1;
   const size_t nb = b.size() == 1 ? 1 : b.size() - 1;
-  // Batch MBR prefilter: the exact segment test opens with an MBR reject,
-  // so running that reject for b's whole segment chain as one (uncounted —
-  // refinement sits outside the paper's filter-step CPU metric) kernel
-  // pass per a-segment skips the b-segments a scalar pass would have
-  // rejected anyway, with identical boolean outcome.
-  RectBlock b_mbrs;
-  b_mbrs.Reserve(nb);
-  for (uint32_t j = 0; j < nb; ++j) {
-    const Segment sb{b[j], b[b.size() == 1 ? j : j + 1]};
-    b_mbrs.PushBack(sb.Mbr(), j);
-  }
-  std::vector<uint32_t> hits;
+  // Segment k of a chain; a single vertex is one zero-length segment.
+  const auto seg = [](std::span<const Point> c, size_t k) {
+    return Segment{c[k], c[c.size() == 1 ? k : k + 1]};
+  };
+  // A plain nested loop: SegmentsIntersect opens with its own MBR reject,
+  // and the workloads' chains are short (1–4 segments), so a batched
+  // segment-MBR prefilter costs more in heap allocations than it saves.
   for (size_t i = 0; i < na; ++i) {
-    const Segment sa{a[i], a[a.size() == 1 ? i : i + 1]};
-    OverlapHits(b_mbrs, sa.Mbr(), &hits);
-    for (const uint32_t j : hits) {
-      const Segment sb{b[j], b[b.size() == 1 ? j : j + 1]};
-      if (SegmentsIntersect(sa, sb)) return true;
+    for (size_t j = 0; j < nb; ++j) {
+      if (SegmentsIntersect(seg(a, i), seg(b, j))) return true;
     }
   }
   return false;

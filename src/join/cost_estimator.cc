@@ -38,9 +38,11 @@ JoinCostEstimate EstimateJoinCost(const RTree& r, const RTree& s) {
   const std::vector<LevelProfile> pr = ProfileTree(r);
   const std::vector<LevelProfile> ps = ProfileTree(s);
 
-  // Shared data space extent.
+  // Shared data space extent: the union of the two root MBRs.
   const Rect space =
-      r.ComputeStats().root_mbr.Union(s.ComputeStats().root_mbr);
+      Node::Load(r.file(), r.root_page())
+          .ComputeMbr()
+          .Union(Node::Load(s.file(), s.root_page()).ComputeMbr());
   const double width =
       std::max(1e-12, static_cast<double>(space.xu) - space.xl);
   const double height =

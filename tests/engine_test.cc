@@ -233,33 +233,43 @@ TEST_F(PlannerTest, ChainPicksPipelinedPastTheTupleFloor) {
   EXPECT_FALSE(plan.pipelined);
 }
 
-TEST_F(PlannerTest, RasterTierOnlyForExactGeometryPastTheFloor) {
-  const JoinCostEstimate est = EstimateJoinCost(big_->tree(), big_->tree());
-  ASSERT_GT(est.result_pairs, 0.0);
-  PlannerOptions popt;
-  popt.raster_candidate_floor = est.result_pairs / 2;  // enough candidates
-  PlanChoice plan = PlanPairJoin(big_->tree(), big_->tree(), popt,
+TEST_F(PlannerTest, ExactGeometryPlansRefineExactOnly) {
+  RTreeOptions topt;
+  topt.page_size = kPageSize1K;
+  const IndexedRelation dense(testutil::RandomRects(1000, 33, 0.2), topt);
+  // Estimated candidates far past 5000, where signature building used to
+  // be planned: exact-geometry plans still refine exact-only.
+  ASSERT_GT(EstimateJoinCost(dense.tree(), dense.tree()).result_pairs,
+            5000.0 * 4);
+  PlanChoice plan = PlanPairJoin(dense.tree(), dense.tree(), PlannerOptions{},
                                  /*exact_geometry=*/true);
-  EXPECT_TRUE(plan.refine_raster);
-  EXPECT_NE(plan.Describe().find("raster=1"), std::string::npos);
-  // An MBR-only query never earns the tier, whatever the estimate.
-  plan = PlanPairJoin(big_->tree(), big_->tree(), popt);
   EXPECT_FALSE(plan.refine_raster);
-  // Below the floor, signature construction does not amortize.
-  popt.raster_candidate_floor = est.result_pairs * 2;
-  plan = PlanPairJoin(big_->tree(), big_->tree(), popt,
-                      /*exact_geometry=*/true);
-  EXPECT_FALSE(plan.refine_raster);
-  // The chosen knobs flow into JoinOptions through ApplyPlan.
-  popt.raster_candidate_floor = est.result_pairs / 2;
-  popt.raster_grid_bits = 11;
-  plan = PlanPairJoin(big_->tree(), big_->tree(), popt,
-                      /*exact_geometry=*/true);
+  EXPECT_NE(plan.Describe().find("raster=0"), std::string::npos);
+  // The tier is a hand-set option: ApplyPlan still forwards it.
+  plan.refine_raster = true;
+  plan.raster_grid_bits = 11;
   JoinOptions join;
   ParallelExecutorOptions exec;
   ApplyPlan(plan, &join, &exec);
   EXPECT_TRUE(join.refine_raster);
   EXPECT_EQ(join.raster_grid_bits, 11u);
+}
+
+// The estimate reads each root MBR from the root node alone; these values
+// were recorded when it still walked both whole trees for them, so any
+// drift in the space extent (or anything else) shows here. The literals
+// are exact doubles from one toolchain (GCC 12, glibc, x86-64):
+// build_comparisons goes through std::log2 and the rest are float-derived
+// sums, so another libm or compiler may differ in the last bit without
+// the estimator being wrong.
+TEST_F(PlannerTest, EstimateIsPinned) {
+  const JoinCostEstimate est = EstimateJoinCost(small_->tree(), big_->tree());
+  EXPECT_EQ(est.node_pairs, 83.251194681744124);
+  EXPECT_EQ(est.page_reads, 166.50238936348825);
+  EXPECT_EQ(est.sj1_comparisons, 346053.85889004759);
+  EXPECT_EQ(est.result_pairs, 242.74409260400552);
+  EXPECT_EQ(est.build_page_writes, 78.0);
+  EXPECT_EQ(est.build_comparisons, 57450.070392929221);
 }
 
 TEST_F(PlannerTest, ShardedDecisionCutsBothWays) {

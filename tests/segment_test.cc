@@ -2,7 +2,15 @@
 
 #include "geom/segment.h"
 
+#include <cmath>
+#include <cstdint>
+#include <iostream>
+#include <span>
+#include <vector>
+
 #include <gtest/gtest.h>
+
+#include "datagen/rng.h"
 
 namespace rsj {
 namespace {
@@ -145,6 +153,100 @@ TEST(PolylinesIntersectTest, EmptyChains) {
   const std::vector<Point> chain{Point{0, 0}, Point{1, 1}};
   EXPECT_FALSE(PolylinesIntersect(empty, chain));
   EXPECT_FALSE(PolylinesIntersect(chain, empty));
+}
+
+// ---------------------------------------------------------------------------
+// Differential test: PolylinesIntersect against a brute-force all-pairs
+// SegmentsIntersect oracle.
+
+// Every segment pair, no early exit.
+bool AllPairsIntersect(std::span<const Point> a, std::span<const Point> b) {
+  if (a.empty() || b.empty()) return false;
+  const auto segment = [](std::span<const Point> c, size_t i) {
+    return Segment{c[i], c[c.size() == 1 ? i : i + 1]};
+  };
+  const size_t na = a.size() == 1 ? 1 : a.size() - 1;
+  const size_t nb = b.size() == 1 ? 1 : b.size() - 1;
+  bool any = false;
+  for (size_t i = 0; i < na; ++i) {
+    for (size_t j = 0; j < nb; ++j) {
+      any = SegmentsIntersect(segment(a, i), segment(b, j)) || any;
+    }
+  }
+  return any;
+}
+
+// A random walk of 1–24 vertices (1 = a single point). On the grid the
+// steps are axis-aligned integers, so chains overlap collinearly and meet
+// in shared vertices; off the grid they are free float steps. Some steps
+// repeat the previous vertex (a zero-length segment).
+std::vector<Point> RandomChain(Rng* rng, bool grid) {
+  const size_t n = 1 + rng->UniformInt(24);
+  const auto coord = [&](double lo, double hi) {
+    const double v = rng->Uniform(lo, hi);
+    return static_cast<Coord>(grid ? std::floor(v) : v);
+  };
+  std::vector<Point> chain{Point{coord(0, 16), coord(0, 16)}};
+  while (chain.size() < n) {
+    Point next = chain.back();
+    if (!rng->Bernoulli(0.15)) {
+      if (grid) {
+        const Coord step = coord(-3, 4);
+        (rng->Bernoulli(0.5) ? next.x : next.y) += step;
+      } else {
+        next.x += coord(-2.5, 2.5);
+        next.y += coord(-2.5, 2.5);
+      }
+    }
+    chain.push_back(next);
+  }
+  return chain;
+}
+
+TEST(PolylinesIntersectTest, MatchesAllPairsOracle) {
+  constexpr uint64_t kSeed = 20261017;
+  constexpr int kTrials = 6000;
+  std::cout << "PolylinesIntersect differential seed=" << kSeed << "\n";
+  // Both outcomes must be common, so a skewed generator cannot make the
+  // comparison vacuous.
+  int hits = 0, misses = 0;
+  for (int trial = 0; trial < kTrials; ++trial) {
+    SCOPED_TRACE(::testing::Message()
+                 << "seed=" << kSeed << " trial=" << trial);
+    Rng rng(kSeed + static_cast<uint64_t>(trial));
+    const bool grid = rng.Bernoulli(0.6);
+    std::vector<Point> a = RandomChain(&rng, grid);
+    std::vector<Point> b = RandomChain(&rng, grid);
+    switch (rng.UniformInt(3)) {
+      case 0: {  // b starts or ends on a vertex of a
+        const Point shared = a[rng.UniformInt(a.size())];
+        (rng.Bernoulli(0.5) ? b.front() : b.back()) = shared;
+        break;
+      }
+      case 1: {  // b runs collinearly along (part of) a segment of a
+        if (a.size() < 2 || b.size() < 2) break;
+        const size_t i = rng.UniformInt(a.size() - 1);
+        const Point p = a[i], q = a[i + 1];
+        const auto along = [&](double t) {
+          return Point{static_cast<Coord>(p.x + t * (q.x - p.x)),
+                       static_cast<Coord>(p.y + t * (q.y - p.y))};
+        };
+        const size_t j = rng.UniformInt(b.size() - 1);
+        b[j] = along(0.5 * static_cast<double>(rng.UniformInt(5)) - 0.5);
+        b[j + 1] = along(0.5 * static_cast<double>(rng.UniformInt(5)) - 0.5);
+        break;
+      }
+      default:
+        break;
+    }
+    const bool expected = AllPairsIntersect(a, b);
+    ASSERT_EQ(AllPairsIntersect(b, a), expected);
+    ASSERT_EQ(PolylinesIntersect(a, b), expected);
+    ASSERT_EQ(PolylinesIntersect(b, a), expected);
+    (expected ? hits : misses) += 1;
+  }
+  EXPECT_GT(hits, 1000);
+  EXPECT_GT(misses, 1000);
 }
 
 TEST(PolylineMbrTest, CoversAllVertices) {
