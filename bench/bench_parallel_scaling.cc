@@ -16,7 +16,6 @@
 #include <cstdio>
 
 #include "bench/bench_common.h"
-#include "join/parallel_join.h"
 
 namespace rsj {
 namespace bench {

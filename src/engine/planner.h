@@ -38,12 +38,10 @@
 //                 (PlanChoice::refine_raster): it was 5–50× slower than
 //                 exact-only on tests A, B and E at scales 0.05–1.0, as
 //                 signatures cost more than the short-chain tests they save.
-//   * sharded   — pairwise joins whose estimated page reads pass
-//                 `shard_page_read_floor` AND whose estimated join CPU
-//                 amortizes the per-shard tree rebuilds (the estimator's
-//                 build_comparisons term times `shard_build_advantage`)
-//                 run declustered over `shard_count` per-shard trees
-//                 (src/shard/) instead of one tree pair.
+//
+// Declustered execution (src/shard/) is not a planner decision: its
+// wall-clock speedup over one tree pair was 0.32–0.54× (bench_decluster,
+// scale 1.0), so RunShardedSpatialJoin stays a hand-invoked API.
 //
 // PlanChoice::Describe() serializes the choice AND the estimator inputs
 // that produced it — the engine stores it per session, so every decision
@@ -79,17 +77,6 @@ struct PlannerOptions {
   double prefetch_page_read_floor = 2000;
   // Async-read window handed to the prefetcher when it is chosen.
   size_t prefetch_ahead = 32;
-  // Size floor of declustered (sharded) execution: estimated page reads
-  // at or above which partition-then-join is considered at all — below
-  // it one tree pair fits one node and sharding only adds build work.
-  double shard_page_read_floor = 100000;
-  // Build-amortization gate: sharded execution re-packs both sides into
-  // per-shard trees, so it is only chosen when the estimated join CPU is
-  // at least this multiple of the estimated build cost
-  // (sj1_comparisons >= shard_build_advantage * build_comparisons).
-  double shard_build_advantage = 2.0;
-  // Shard count handed to the declustering layer when it is chosen.
-  unsigned shard_count = 4;
 };
 
 struct PlanChoice {
@@ -102,12 +89,6 @@ struct PlanChoice {
   // Two-tier refinement: never planned, only set by hand (see "refine").
   bool refine_raster = false;
   unsigned raster_grid_bits = 14;
-  // Declustered execution (src/shard/): chosen for pairwise joins past
-  // the size floor whose join cost amortizes the per-shard rebuilds.
-  // The runner routes through RunShardedSpatialJoin instead of a single
-  // tree pair (chains ignore it).
-  bool sharded = false;
-  unsigned shard_count = 4;
 
   // The estimator inputs the decisions were made on. For chains:
   // node_pairs/page_reads/sj1_comparisons sum the per-phase pairwise

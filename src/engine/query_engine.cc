@@ -90,6 +90,8 @@ QueryEngine::QueryEngine(const Options& options)
       task_pool_(SessionTaskPool::Options{options.pool_threads,
                                           options.tracer}),
       query_log_(options.query_log) {
+  RSJ_CHECK_MSG(options.session_threads >= 1,
+                "engine needs session_threads >= 1");
   governor_.AttachTracer(options.tracer);
   pool_.AttachIoScheduler(&io_);
   if (options.node_cache_nodes > 0) {
@@ -217,7 +219,7 @@ void QueryEngine::RunSession(QuerySession* session) {
 
   JoinOptions join = spec.join;
   ParallelExecutorOptions exec = options_.exec_base;
-  exec.num_threads = std::max(2u, options_.session_threads);
+  exec.num_threads = options_.session_threads;
   exec.shared_pool = true;
   exec.node_cache = node_cache_ != nullptr;
   exec.io_scheduler = &io_;

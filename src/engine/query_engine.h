@@ -181,8 +181,10 @@ class QueryEngine {
     size_t queue_limit = 64;
     // SessionTaskPool worker threads shared by all sessions.
     unsigned pool_threads = 4;
-    // Worker slots per session run (>= 2: the sequential fallbacks do
-    // not run on the shared scheduler; the engine clamps up).
+    // Worker slots per session run (>= 1). With one slot the pairwise
+    // join (or a chain's pairwise phase) is the paper's sequential run,
+    // on the session's driver thread; more slots partition it over the
+    // shared task pool.
     unsigned session_threads = 2;
     // Planner thresholds (see engine/planner.h).
     PlannerOptions planner;

@@ -163,25 +163,6 @@ void HintProbeRoot(const RTree& tree, PageCache* pages, NodeCache* nodes,
   prefetcher->PrefetchSchedule(file, children, stats);
 }
 
-ParallelChainJoinResult SequentialChainFallback(
-    const std::vector<JoinRelation>& relations, const JoinOptions& options,
-    bool collect_tuples) {
-  ParallelChainJoinResult result;
-  MultiwayJoinResult sequential =
-      RunChainSpatialJoin(relations, options, collect_tuples);
-  result.tuple_count = sequential.tuple_count;
-  result.tuples = std::move(sequential.tuples);
-  result.worker_stats.push_back(sequential.stats);
-  result.total_stats.MergeFrom(sequential.stats);
-  // The sequential chain join always runs over its own decode cache.
-  result.used_node_cache = true;
-  result.pairwise_task_count = 1;
-  result.probe_chunk_counts.assign(
-      relations.size() > 2 ? relations.size() - 2 : 0, 1);
-  result.worker_probe_chunks.assign(1, result.probe_chunk_counts.size());
-  return result;
-}
-
 // Bytes one resident final-tuple chunk (chunk_capacity tuples of the
 // chain's full arity) leases from the run-wide governor.
 uint64_t TupleChunkBytes(const ParallelExecutorOptions& exec_options,
@@ -762,6 +743,8 @@ ParallelChainJoinResult RunParallelChainSpatialJoinWith(
     const ParallelExecutorOptions& exec_options, bool collect_tuples,
     SharedBufferPool* shared_pool, NodeCache* node_cache) {
   RSJ_CHECK_MSG(relations.size() >= 2, "chain join needs >= 2 relations");
+  RSJ_CHECK_MSG(exec_options.num_threads >= 1,
+                "executor needs num_threads >= 1");
   RSJ_CHECK_MSG(exec_options.chunk_capacity >= 1,
                 "executor needs chunk_capacity >= 1");
   RSJ_CHECK_MSG(exec_options.channel_bound >= 1,
@@ -771,9 +754,6 @@ ParallelChainJoinResult RunParallelChainSpatialJoinWith(
     RSJ_CHECK_MSG(rel.tree->options().page_size ==
                       relations[0].tree->options().page_size,
                   "all relations must share one page size");
-  }
-  if (exec_options.num_threads <= 1) {
-    return SequentialChainFallback(relations, options, collect_tuples);
   }
   if (relations.size() == 2) {
     return RunPairChain(relations, options, exec_options, collect_tuples,

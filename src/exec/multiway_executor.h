@@ -1,8 +1,9 @@
 // Parallel multi-way chain join on the execution subsystem.
 //
-// One executor runs every parallel chain. Its one scheduling choice is
-// `exec_options.pipelined`, which the planner (engine/planner.h) sets from
-// the estimated frontier; both settings run the same parts:
+// One executor runs every chain, at every worker count. Its one
+// scheduling choice is `exec_options.pipelined`, which the planner
+// (engine/planner.h) sets from the estimated frontier; both settings run
+// the same parts:
 //
 //   1. phase 1 (relations 0 ⋈ 1) runs the partitioned pairwise executor —
 //      depth-adaptive plan, work-stealing scheduler — with every worker's
@@ -63,11 +64,9 @@ struct ParallelChainJoinResult {
   // The bounded-memory tuple set: final-phase tuple chunks past the
   // resident budget are serialized to the spill file through the timed
   // write path and streamed back on demand (exec/spill_sink.h). Filled
-  // whenever exec_options.spill_results applies to a parallel run
-  // (collect_tuples, num_threads > 1) — pipelined or materialized,
-  // including 2-relation chains; only the sequential fallback ignores
-  // spill_results and collects into `tuples` unbounded (its whole output
-  // is still reported via result_peak_chunks_resident).
+  // whenever exec_options.spill_results applies (collect_tuples) — at
+  // every worker count, pipelined or materialized, including 2-relation
+  // chains.
   SpilledTupleSet spilled_tuples;
   // Aggregated counters (coordinator + all workers, all phases).
   // total_stats.frontier_peak_tuples is the run's peak live intermediate
@@ -97,11 +96,10 @@ struct ParallelChainJoinResult {
 };
 
 // Runs the chain join over `relations` (>= 2, one shared page size) with
-// `exec_options.num_threads` workers per stage. Falls back to the
-// sequential RunChainSpatialJoin when num_threads <= 1 — that path always
-// runs over a private buffer and its own decode cache regardless of the
-// pool/cache options, and the result's used_* flags report what actually
-// ran. The tuple multiset is identical to RunChainSpatialJoin's for every
+// `exec_options.num_threads` (>= 1) workers per stage. One worker runs the
+// same executor as any other count: its pairwise phase is the paper's
+// sequential run, and pools, I/O, pipelining and spilling all apply. The
+// tuple multiset is identical to RunChainSpatialJoin's for every
 // configuration.
 ParallelChainJoinResult RunParallelChainSpatialJoin(
     const std::vector<JoinRelation>& relations, const JoinOptions& options,

@@ -9,9 +9,8 @@
 #include "exec/task_scheduler.h"
 #include "io/io_scheduler.h"
 #include "io/prefetcher.h"
-#include "join/join_runner.h"
-#include "obs/trace.h"
 #include "join/spatial_join.h"
+#include "obs/trace.h"
 #include "storage/buffer_pool.h"
 #include "storage/node_cache.h"
 #include "storage/shared_buffer_pool.h"
@@ -25,7 +24,9 @@ namespace {
 // touches a context (work stealing moves tasks, not contexts).
 struct WorkerContext {
   Statistics stats;
-  std::unique_ptr<BufferPool> private_pool;  // null in shared-pool mode
+  // Null in shared-pool mode and for the sequential task, which reads
+  // through the coordinator's cache.
+  std::unique_ptr<BufferPool> private_pool;
   std::unique_ptr<Prefetcher> private_prefetcher;  // over the private pool
   const Prefetcher* prefetcher = nullptr;  // private or the shared one
   std::unique_ptr<SpatialJoinEngine> engine;
@@ -35,89 +36,18 @@ struct WorkerContext {
   bool prepared = false;  // BeginPartitionedRun done (lazily, on its thread)
 };
 
-// Degenerate shapes (leaf roots, single thread): one sequential partition.
-// With a sink factory the results stream into the caller's sink 0. When
-// `cache` is given (the degenerate-plan path, where the pool stack is
-// already built), the run goes through it — so the shared pool, the node
-// cache and the attached I/O model keep accounting; nullptr (the
-// num_threads <= 1 early fallback) runs over a fresh private buffer like
-// RunSpatialJoin always did. Spilling works exactly like the parallel
-// path, over a run-private spill file.
 // Bytes one resident result chunk leases from the run-wide governor.
 uint64_t ResultChunkBytes(const ParallelExecutorOptions& exec_options) {
   return static_cast<uint64_t>(exec_options.chunk_capacity) *
          sizeof(ResultPair);
 }
 
-ParallelJoinResult SequentialFallback(
-    const RTree& r, const RTree& s, const JoinOptions& options,
-    const ParallelExecutorOptions& exec_options, const ChunkArena& arena,
-    const SinkFactory* sink_factory, PageCache* cache = nullptr,
-    NodeCache* nodes = nullptr, IoScheduler* borrowed_io = nullptr,
-    uint64_t borrow_floor = 0) {
-  ParallelJoinResult result;
-  result.worker_task_counts.push_back(1);
-  result.task_count = 1;
-  Statistics stats;
-  const auto run = [&](ResultSink* sink) {
-    if (cache != nullptr) {
-      SpatialJoinEngine engine(r, s, options, cache, &stats, nodes);
-      engine.Run(sink);
-    } else {
-      RunSpatialJoin(r, s, options, sink, &stats);
-    }
-  };
-  const uint64_t unit_bytes = ResultChunkBytes(exec_options);
-  if (sink_factory != nullptr) {
-    ResultSink* sink = (*sink_factory)(0);
-    const uint64_t before = sink->count();
-    run(sink);
-    result.pair_count = sink->count() - before;
-  } else if (exec_options.collect_pairs && exec_options.spill_results) {
-    auto file = std::make_shared<SpillFile>(SpillFile::Options{
-        exec_options.spill_page_size, exec_options.io_scheduler,
-        exec_options.tracer, exec_options.trace_pid});
-    ResidentBudget budget(exec_options.spill_budget_chunks,
-                          exec_options.memory_governor,
-                          MemoryCategory::kResultChunks, unit_bytes);
-    budget.AttachTracer(exec_options.tracer, exec_options.trace_pid);
-    SpillingSink sink(arena, file.get(), &budget, &stats);
-    run(&sink);
-    result.pair_count = sink.count();
-    result.spilled = sink.TakeResult();
-    result.spilled.file = std::move(file);
-    stats.NoteResultChunksResident(budget.peak());
-  } else if (exec_options.collect_pairs) {
-    // An unbounded gauge MEASURES the resident peak (and mirrors it into
-    // the governor while the run holds the chunks) instead of computing
-    // it from final counts.
-    ResidentBudget gauge(ResidentBudget::kUnbounded,
-                         exec_options.memory_governor,
-                         MemoryCategory::kResultChunks, unit_bytes);
-    MaterializingSink sink(arena, &gauge);
-    run(&sink);
-    result.pair_count = sink.count();
-    result.chunks = sink.TakeChunks();
-    stats.NoteResultChunksResident(gauge.peak());
-  } else {
-    CountingSink sink;
-    run(&sink);
-    result.pair_count = sink.count();
-  }
-  if (borrowed_io != nullptr) {
-    const uint64_t finish = borrowed_io->RetireActor(&stats);
-    result.modeled_elapsed_micros =
-        finish > borrow_floor ? finish - borrow_floor : 0;
-  }
-  result.worker_stats.push_back(stats);
-  result.total_stats.MergeFrom(stats);
-  return result;
-}
-
 ParallelJoinResult RunParallelSpatialJoinImpl(
     const RTree& r, const RTree& s, const JoinOptions& options,
     const ParallelExecutorOptions& exec_options, SharedBufferPool* shared_pool,
     NodeCache* node_cache, const SinkFactory* sink_factory) {
+  RSJ_CHECK_MSG(exec_options.num_threads >= 1,
+                "executor needs num_threads >= 1");
   RSJ_CHECK_MSG(r.options().page_size == s.options().page_size,
                 "joined trees must share one page size");
   RSJ_CHECK_MSG(exec_options.chunk_capacity >= 1,
@@ -133,13 +63,8 @@ ParallelJoinResult RunParallelSpatialJoinImpl(
           ? *exec_options.chunk_arena
           : ChunkArena(ChunkArena::Options{exec_options.chunk_capacity,
                                            /*max_free_chunks=*/1024});
-  if (exec_options.num_threads <= 1) {
-    return SequentialFallback(r, s, options, exec_options, arena,
-                              sink_factory);
-  }
 
   ParallelJoinResult result;
-  result.used_shared_pool = exec_options.shared_pool;
   Statistics coordinator;
   IoScheduler* const io = exec_options.io_scheduler;
   // With a sink factory (one stage of an enclosing pipeline) or with
@@ -182,14 +107,20 @@ ParallelJoinResult RunParallelSpatialJoinImpl(
 
   // The shared pool (and the decode cache over it) is created before
   // partitioning so the coordinator's directory reads and decodes warm it
-  // for the workers.
+  // for the workers. One worker reads through a private pool unless the
+  // caller hands one in: a sharded pool used by a single thread only
+  // splits its LRU into shards, which costs misses at the same budget.
+  const bool shared_mode =
+      exec_options.shared_pool &&
+      (exec_options.num_threads > 1 || shared_pool != nullptr);
+  result.used_shared_pool = shared_mode;
   std::unique_ptr<SharedBufferPool> owned_shared;
   std::unique_ptr<NodeCache> owned_nodes;
   std::unique_ptr<BufferPool> coordinator_pool;
   SharedBufferPool* shared = nullptr;
   NodeCache* nodes = nullptr;
   PageCache* coordinator_cache = nullptr;
-  if (exec_options.shared_pool) {
+  if (shared_mode) {
     shared = shared_pool;
     if (shared == nullptr) {
       owned_shared = std::make_unique<SharedBufferPool>(
@@ -230,12 +161,17 @@ ParallelJoinResult RunParallelSpatialJoinImpl(
         shared, Prefetcher::Options{exec_options.prefetch_ahead});
   }
 
-  const size_t target_tasks =
-      std::max<size_t>(1, static_cast<size_t>(
-                              exec_options.partition_multiplier) *
-                              exec_options.num_threads);
+  // One worker has nothing to decluster: it runs the whole join as one
+  // sequential task, the paper's run. Leaf roots (a degenerate plan) run
+  // the same task at any worker count.
   PartitionPlan plan;
-  {
+  if (exec_options.num_threads == 1) {
+    plan.degenerate = true;
+  } else {
+    const size_t target_tasks =
+        std::max<size_t>(1, static_cast<size_t>(
+                                exec_options.partition_multiplier) *
+                                exec_options.num_threads);
     TraceSpan span(exec_options.tracer, "exec", "partition_plan",
                    exec_options.trace_pid);
     const uint64_t modeled_before =
@@ -249,52 +185,14 @@ ParallelJoinResult RunParallelSpatialJoinImpl(
       span.set_arg("tasks", plan.tasks.size());
     }
   }
-  if (plan.degenerate) {
-    // The sequential run replaces the partitioned one over the
-    // already-built cache stack (shared pool / node cache / modeled I/O
-    // stay in the loop); the coordinator's root reads/decodes happened
-    // and stay counted, and the mode flags keep describing what was
-    // actually set up.
-    ParallelJoinResult fallback = SequentialFallback(
-        r, s, options, exec_options, arena, sink_factory, coordinator_cache,
-        nodes, borrowed_io ? io : nullptr, io_floor_before);
-    fallback.total_stats.MergeFrom(coordinator);
-    fallback.used_shared_pool = result.used_shared_pool;
-    fallback.used_node_cache = result.used_node_cache;
-    if (owns_io) {
-      io->Drain();
-      fallback.total_stats.io_batches += io->io_batches() - io_batches_before;
-      fallback.modeled_elapsed_micros =
-          io->SynchronizeClocks() - io_clock_before;
-    } else if (borrowed_io) {
-      const uint64_t finish = io->RetireActor(&coordinator);
-      fallback.modeled_elapsed_micros =
-          std::max(fallback.modeled_elapsed_micros,
-                   finish > io_floor_before ? finish - io_floor_before : 0);
-    }
-    return fallback;
-  }
-  result.task_count = plan.tasks.size();
+  const bool sequential = plan.degenerate;
+  result.task_count = sequential ? 1 : plan.tasks.size();
   result.partition_depth = plan.depth;
-  if (plan.tasks.empty()) {
-    result.total_stats.MergeFrom(coordinator);
-    if (owns_io) {
-      io->Drain();
-      result.total_stats.io_batches += io->io_batches() - io_batches_before;
-      result.modeled_elapsed_micros =
-          io->SynchronizeClocks() - io_clock_before;
-    } else if (borrowed_io) {
-      const uint64_t finish = io->RetireActor(&coordinator);
-      result.modeled_elapsed_micros =
-          finish > io_floor_before ? finish - io_floor_before : 0;
-    }
-    return result;
-  }
 
   // Subtree-pair hints from the partitioner: the plan *is* the order the
   // workers will start tasks in, so its leading child pages are the
   // system-wide read frontier — hint them before the workers launch.
-  if (shared_prefetcher != nullptr) {
+  if (shared_prefetcher != nullptr && !plan.tasks.empty()) {
     std::vector<PageId> r_pages;
     std::vector<PageId> s_pages;
     r_pages.reserve(plan.tasks.size());
@@ -307,26 +205,33 @@ ParallelJoinResult RunParallelSpatialJoinImpl(
                                         &coordinator);
   }
 
-  const unsigned workers = static_cast<unsigned>(
-      std::min<size_t>(exec_options.num_threads, plan.tasks.size()));
+  // The sequential task reads through the coordinator's cache (in
+  // private-pool mode its pool, which a degenerate plan's root reads
+  // already warmed); partitioned tasks read through the shared pool or
+  // per-worker private pools.
+  const unsigned workers =
+      sequential ? 1
+                 : static_cast<unsigned>(std::min<size_t>(
+                       exec_options.num_threads, plan.tasks.size()));
   std::vector<std::unique_ptr<WorkerContext>> contexts;
   contexts.reserve(workers);
   for (unsigned w = 0; w < workers; ++w) {
     auto ctx = std::make_unique<WorkerContext>();
-    PageCache* cache = shared;
-    if (!exec_options.shared_pool) {
+    PageCache* cache = coordinator_cache;
+    BufferPool* own_pool = coordinator_pool.get();
+    if (own_pool != nullptr && !sequential) {
       ctx->private_pool = std::make_unique<BufferPool>(
           BufferPool::Options{options.buffer_bytes, r.options().page_size,
                               options.eviction_policy},
           &ctx->stats);
       if (io != nullptr) ctx->private_pool->AttachIoScheduler(io);
-      cache = ctx->private_pool.get();
+      own_pool = ctx->private_pool.get();
+      cache = own_pool;
     }
     if (exec_options.prefetch) {
-      if (ctx->private_pool != nullptr) {
+      if (own_pool != nullptr) {
         ctx->private_prefetcher = std::make_unique<Prefetcher>(
-            ctx->private_pool.get(),
-            Prefetcher::Options{exec_options.prefetch_ahead});
+            own_pool, Prefetcher::Options{exec_options.prefetch_ahead});
         ctx->prefetcher = ctx->private_prefetcher.get();
       } else {
         ctx->prefetcher = shared_prefetcher.get();
@@ -359,20 +264,24 @@ ParallelJoinResult RunParallelSpatialJoinImpl(
                    /*sampled=*/true);
     const uint64_t modeled_before =
         span.active() && io != nullptr ? io->ActorClock(&ctx.stats) : 0;
-    if (!ctx.prepared) {
-      // Root fetch and z-order universe, counted on this worker and
-      // done on its own thread so private pools stay single-owner.
-      ctx.engine->BeginPartitionedRun();
-      ctx.prepared = true;
+    if (sequential) {
+      ctx.engine->Run(ctx.sink);
+    } else {
+      if (!ctx.prepared) {
+        // Root fetch and z-order universe, counted on this worker and
+        // done on its own thread so private pools stay single-owner.
+        ctx.engine->BeginPartitionedRun();
+        ctx.prepared = true;
+      }
+      const PartitionTask& task = plan.tasks[task_index];
+      if (ctx.prefetcher != nullptr) {
+        // The task frontier: both subtree roots, issued before the
+        // engine's (ordered) fetches so they ride different disks.
+        ctx.prefetcher->PrefetchPage(r.file(), task.er.ref, &ctx.stats);
+        ctx.prefetcher->PrefetchPage(s.file(), task.es.ref, &ctx.stats);
+      }
+      ctx.engine->ProcessPartition(task.er, task.es, ctx.sink);
     }
-    const PartitionTask& task = plan.tasks[task_index];
-    if (ctx.prefetcher != nullptr) {
-      // The task frontier: both subtree roots, issued before the
-      // engine's (ordered) fetches so they ride different disks.
-      ctx.prefetcher->PrefetchPage(r.file(), task.er.ref, &ctx.stats);
-      ctx.prefetcher->PrefetchPage(s.file(), task.es.ref, &ctx.stats);
-    }
-    ctx.engine->ProcessPartition(task.er, task.es, ctx.sink);
     if (span.active()) {
       if (io != nullptr) {
         span.set_modeled_range(modeled_before, io->ActorClock(&ctx.stats));
@@ -380,7 +289,13 @@ ParallelJoinResult RunParallelSpatialJoinImpl(
       span.set_arg("task", task_index);
     }
   };
-  if (exec_options.task_runner) {
+  if (sequential) {
+    // On the calling thread, like any single-worker schedule.
+    task_body(0, 0);
+    result.worker_task_counts.assign(1, 1);
+  } else if (workers == 0) {
+    // No subtree pair qualifies: the coordinator's filter was the join.
+  } else if (exec_options.task_runner) {
     // The engine's shared task pool (or any external runner) executes the
     // plan; worker-slot exclusivity is the runner's contract.
     result.worker_task_counts =

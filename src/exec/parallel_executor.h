@@ -36,6 +36,7 @@ class IoScheduler;
 class TraceRecorder;
 
 struct ParallelExecutorOptions {
+  // Workers; must be >= 1.
   unsigned num_threads = 1;
 
   // Depth-adaptive declustering descends the synchronized traversal until
@@ -46,6 +47,9 @@ struct ParallelExecutorOptions {
   // true: all workers share one SharedBufferPool of options.buffer_bytes.
   // false: every worker owns a private BufferPool of options.buffer_bytes
   // (the seed's model — N× the memory for the same nominal budget).
+  // A one-worker pairwise run reads through one private BufferPool unless
+  // the caller hands in a shared pool (RunParallelSpatialJoinWith): a
+  // sharded pool used by one thread only splits its LRU.
   bool shared_pool = true;
 
   // Shards of the shared pool (ignored for private pools).
@@ -84,10 +88,9 @@ struct ParallelExecutorOptions {
   // recycle into the arena, so peak result memory is
   // O(spill_budget_chunks × chunk_capacity) independent of the result
   // size. Applies to collect_pairs pairwise runs (result lands in
-  // ParallelJoinResult::spilled) and to collect_tuples parallel chain
-  // joins — pipelined or materialized, any arity
-  // (ParallelChainJoinResult::spilled_tuples; only the sequential chain
-  // fallback ignores it and collects unbounded). Ignored with a
+  // ParallelJoinResult::spilled) and to collect_tuples chain joins —
+  // pipelined or materialized, any arity, any worker count
+  // (ParallelChainJoinResult::spilled_tuples). Ignored with a
   // caller-provided sink factory.
   bool spill_results = false;
 
@@ -116,9 +119,9 @@ struct ParallelExecutorOptions {
   // --- simulated asynchronous I/O (src/io/) ---
 
   // When non-null, every pool (shared or per-worker private) services its
-  // misses in modeled disk-array time through this scheduler. Not owned;
-  // must outlive the run. Ignored by the num_threads <= 1 sequential
-  // fallback (use RunSpatialJoinWithIo for a modeled sequential run).
+  // misses in modeled disk-array time through this scheduler, at every
+  // worker count — a one-worker run is the paper's sequential join over
+  // the modeled disk array. Not owned; must outlive the run.
   IoScheduler* io_scheduler = nullptr;
 
   // Schedule-driven prefetching: the coordinator hints the partition
@@ -210,8 +213,10 @@ struct ParallelJoinResult {
 class SharedBufferPool;
 class NodeCache;
 
-// Runs R ⋈ S under `exec_options`. Falls back to a single sequential
-// partition when a root is a leaf or num_threads <= 1.
+// Runs R ⋈ S under `exec_options` (num_threads >= 1). One worker, or a
+// leaf root, runs the whole join as one sequential task — the paper's
+// run — over the same pool stack, I/O model, prefetcher and sinks as a
+// partitioned run.
 ParallelJoinResult RunParallelSpatialJoin(
     const RTree& r, const RTree& s, const JoinOptions& options,
     const ParallelExecutorOptions& exec_options);

@@ -1,9 +1,5 @@
 #include "join/join_runner.h"
 
-#include <algorithm>
-
-#include "io/io_scheduler.h"
-#include "io/prefetcher.h"
 #include "storage/buffer_pool.h"
 
 namespace rsj {
@@ -25,50 +21,6 @@ void RunSpatialJoin(const RTree& r, const RTree& s, const JoinOptions& options,
       stats);
   SpatialJoinEngine engine(r, s, options, &pool, stats);
   engine.Run(sink);
-}
-
-JoinRunResult RunSpatialJoinWithIo(const RTree& r, const RTree& s,
-                                   const JoinOptions& options, IoScheduler* io,
-                                   bool prefetch, size_t prefetch_ahead,
-                                   bool collect_pairs,
-                                   uint64_t* modeled_elapsed_micros) {
-  RSJ_CHECK(io != nullptr);
-  JoinRunResult result;
-  const uint64_t clock_before = io->NowMicros();
-  const uint64_t batches_before = io->io_batches();
-  {
-    BufferPool pool(
-        BufferPool::Options{options.buffer_bytes, r.options().page_size,
-                            options.eviction_policy},
-        &result.stats);
-    pool.AttachIoScheduler(io);
-    Prefetcher prefetcher(&pool, Prefetcher::Options{prefetch_ahead});
-    SpatialJoinEngine engine(r, s, options, &pool, &result.stats);
-    if (prefetch) engine.set_prefetcher(&prefetcher);
-    if (collect_pairs) {
-      // A measuring gauge (engine/memory_governor.h) records the resident
-      // high-water mark instead of computing it from final counts.
-      ResidentBudget gauge(ResidentBudget::kUnbounded);
-      MaterializingSink sink(ChunkArena{}, &gauge);
-      engine.Run(&sink);
-      result.chunks = sink.TakeChunks();
-      result.pair_count = sink.count();
-      result.stats.NoteResultChunksResident(gauge.peak());
-    } else {
-      CountingSink sink;
-      engine.Run(&sink);
-      result.pair_count = sink.count();
-    }
-  }
-  io->Drain();
-  result.stats.io_batches += io->io_batches() - batches_before;
-  // Merge the run's actor clocks (one actor here, but callers may have
-  // left others behind) and retire them, so the next run starts clean.
-  const uint64_t merged = io->SynchronizeClocks();
-  if (modeled_elapsed_micros != nullptr) {
-    *modeled_elapsed_micros = merged - clock_before;
-  }
-  return result;
 }
 
 JoinRunResult RunShardedSpatialJoin(std::span<const Rect> r_rects,

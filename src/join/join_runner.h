@@ -44,23 +44,6 @@ JoinRunResult RunSpatialJoin(const RTree& r, const RTree& s,
 void RunSpatialJoin(const RTree& r, const RTree& s, const JoinOptions& options,
                     ResultSink* sink, Statistics* stats);
 
-class IoScheduler;
-
-// Runs the join over the asynchronous I/O subsystem (src/io/): the buffer
-// pool services misses in modeled disk-array time through `io`, and, when
-// `prefetch` is true, the engine streams its §4.3 read schedules into a
-// schedule-driven prefetcher (issuing at most `prefetch_ahead` async reads
-// per schedule). The result's stats carry the prefetch/overlap counters
-// and, in io_batches, the request batches the run added; when
-// `modeled_elapsed_micros` is non-null it receives the advance of the
-// modeled clock across the run (the join's modeled elapsed time). The
-// result pairs are identical to RunSpatialJoin's for every configuration.
-JoinRunResult RunSpatialJoinWithIo(const RTree& r, const RTree& s,
-                                   const JoinOptions& options, IoScheduler* io,
-                                   bool prefetch, size_t prefetch_ahead = 32,
-                                   bool collect_pairs = false,
-                                   uint64_t* modeled_elapsed_micros = nullptr);
-
 // One-call declustered entry (src/shard/): builds one Declustering over
 // both rectangle sets, distributes each side into per-shard STR-loaded
 // trees of `tree_options` (the probing side's replication grown by the

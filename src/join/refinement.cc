@@ -199,49 +199,21 @@ StreamingIdJoinResult RunIdSpatialJoinStreaming(
 
   // Filter step: candidates collect through spilling sinks, so at most
   // filter_budget_chunks completed chunks are ever resident.
-  SpilledResult candidates;
-  if (refine_options.num_threads > 1) {
-    ParallelExecutorOptions exec;
-    exec.num_threads = refine_options.num_threads;
-    exec.collect_pairs = true;
-    exec.spill_results = true;
-    exec.spill_budget_chunks = refine_options.filter_budget_chunks;
-    exec.spill_page_size = refine_options.spill_page_size;
-    exec.chunk_capacity = refine_options.chunk_capacity;
-    exec.io_scheduler = refine_options.io;
-    exec.memory_governor = refine_options.governor;
-    exec.tracer = refine_options.tracer;
-    exec.trace_pid = refine_options.trace_pid;
-    ParallelJoinResult filtered =
-        RunParallelSpatialJoin(r_tree, s_tree, options, exec);
-    candidates = std::move(filtered.spilled);
-    result.stats.MergeFrom(filtered.total_stats);
-  } else {
-    ChunkArena arena(ChunkArena::Options{refine_options.chunk_capacity,
-                                         /*max_free_chunks=*/1024});
-    auto file = std::make_shared<SpillFile>(SpillFile::Options{
-        refine_options.spill_page_size, refine_options.io,
-        refine_options.tracer, refine_options.trace_pid});
-    ResidentBudget budget(refine_options.filter_budget_chunks,
-                          refine_options.governor,
-                          MemoryCategory::kResultChunks,
-                          refine_options.chunk_capacity * sizeof(ResultPair));
-    budget.AttachTracer(refine_options.tracer, refine_options.trace_pid);
-    BufferPool pool(
-        BufferPool::Options{options.buffer_bytes,
-                            r_tree.options().page_size,
-                            options.eviction_policy},
-        &result.stats);
-    if (refine_options.io != nullptr) {
-      pool.AttachIoScheduler(refine_options.io);
-    }
-    SpatialJoinEngine engine(r_tree, s_tree, options, &pool, &result.stats);
-    SpillingSink sink(arena, file.get(), &budget, &result.stats);
-    engine.Run(&sink);
-    candidates = sink.TakeResult();
-    candidates.file = std::move(file);
-    result.stats.NoteResultChunksResident(budget.peak());
-  }
+  ParallelExecutorOptions exec;
+  exec.num_threads = refine_options.num_threads;
+  exec.collect_pairs = true;
+  exec.spill_results = true;
+  exec.spill_budget_chunks = refine_options.filter_budget_chunks;
+  exec.spill_page_size = refine_options.spill_page_size;
+  exec.chunk_capacity = refine_options.chunk_capacity;
+  exec.io_scheduler = refine_options.io;
+  exec.memory_governor = refine_options.governor;
+  exec.tracer = refine_options.tracer;
+  exec.trace_pid = refine_options.trace_pid;
+  ParallelJoinResult filtered =
+      RunParallelSpatialJoin(r_tree, s_tree, options, exec);
+  SpilledResult candidates = std::move(filtered.spilled);
+  result.stats.MergeFrom(filtered.total_stats);
   result.candidate_pairs = candidates.pair_count;
 
   // The raster tier sits between the collected candidates and the exact

@@ -140,12 +140,12 @@ struct StreamingRefineOptions {
   size_t refine_budget_chunks = 64;
   // Page size of the spill files.
   uint32_t spill_page_size = kPageSize4K;
-  // Filter-step parallelism: > 1 runs the partitioned parallel executor
-  // with per-worker spilling sinks; 1 runs the sequential engine into
-  // one spilling sink.
+  // Filter-step workers (>= 1) of the join executor, which collects the
+  // candidates through per-worker spilling sinks; one worker is the
+  // paper's sequential run into one spilling sink.
   unsigned num_threads = 1;
-  // Modeled-time layer for the spill writes/re-reads (and, in parallel
-  // runs, the pools). Not owned; nullptr degrades to pure counting.
+  // Modeled-time layer for the filter's pools and the spill
+  // writes/re-reads. Not owned; nullptr degrades to pure counting.
   IoScheduler* io = nullptr;
   // Keep the refined pairs (as a possibly-spilled SpilledResult) instead
   // of only counting them.

@@ -45,7 +45,6 @@
 #include "join/join_runner.h"      // IWYU pragma: export
 #include "join/predicate.h"        // IWYU pragma: export
 #include "join/multiway_join.h"    // IWYU pragma: export
-#include "join/parallel_join.h"    // IWYU pragma: export
 #include "join/refinement.h"       // IWYU pragma: export
 #include "join/spatial_join.h"     // IWYU pragma: export
 #include "obs/chrome_trace.h"      // IWYU pragma: export

@@ -148,7 +148,7 @@ ShardedJoinResult RunShardedSpatialJoin(const ShardedDataset& r,
                 "use disks_per_shard");
   ShardedJoinResult result;
   const unsigned num_shards = r.num_shards();
-  const unsigned workers = std::max(1u, options.exec.num_threads);
+  const unsigned workers = options.exec.num_threads;
   result.shard_stats.resize(num_shards);
   result.shard_modeled_micros.assign(num_shards, 0);
 

@@ -272,7 +272,7 @@ TEST_F(PlannerTest, EstimateIsPinned) {
   EXPECT_EQ(est.build_comparisons, 57450.070392929221);
 }
 
-TEST_F(PlannerTest, ShardedDecisionCutsBothWays) {
+TEST_F(PlannerTest, BuildCostTermIsPositiveAndMonotone) {
   const JoinCostEstimate est = EstimateJoinCost(big_->tree(), big_->tree());
   // The build-cost term exists and behaves: positive, and monotone in the
   // input size (the ROADMAP carry-over EstimateJoinCost never had).
@@ -284,30 +284,11 @@ TEST_F(PlannerTest, ShardedDecisionCutsBothWays) {
   EXPECT_GT(big_build.page_writes, small_build.page_writes);
   EXPECT_EQ(EstimateBuildCost(0, 51).comparisons, 0.0);
 
-  PlannerOptions popt;
-  // Past the size floor with the build cost amortized: sharded.
-  popt.shard_page_read_floor = est.page_reads / 2;
-  popt.shard_build_advantage =
-      est.sj1_comparisons / est.build_comparisons / 2;
-  popt.shard_count = 6;
-  PlanChoice plan = PlanPairJoin(big_->tree(), big_->tree(), popt);
-  EXPECT_TRUE(plan.sharded);
-  EXPECT_EQ(plan.shard_count, 6u);
-  EXPECT_NE(plan.Describe().find("sharded=1"), std::string::npos);
+  // The audit record carries the term; declustering is no plan decision.
+  const PlanChoice plan =
+      PlanPairJoin(big_->tree(), big_->tree(), PlannerOptions{});
   EXPECT_NE(plan.Describe().find("build_cmp="), std::string::npos);
-
-  // Below the size floor: one tree pair fits one node.
-  popt.shard_page_read_floor = est.page_reads * 2;
-  plan = PlanPairJoin(big_->tree(), big_->tree(), popt);
-  EXPECT_FALSE(plan.sharded);
-
-  // Past the size floor but the join CPU does not amortize the per-shard
-  // rebuilds: the build-cost term vetoes sharding.
-  popt.shard_page_read_floor = est.page_reads / 2;
-  popt.shard_build_advantage =
-      est.sj1_comparisons / est.build_comparisons * 2;
-  plan = PlanPairJoin(big_->tree(), big_->tree(), popt);
-  EXPECT_FALSE(plan.sharded);
+  EXPECT_EQ(plan.Describe().find("shard"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
@@ -432,6 +413,59 @@ TEST_F(QueryEngineTest, ChainSessionMatchesSequential) {
   auto tuples = outcome.chain.tuples;
   std::sort(tuples.begin(), tuples.end());
   EXPECT_EQ(tuples, sequential.tuples);
+}
+
+TEST_F(QueryEngineTest, OneSlotSessionsRunTheSequentialJoin) {
+  // One worker slot per session: the executor's one-worker run, on the
+  // engine's pool and modeled disk array, must return the paper's result.
+  const std::vector<JoinRelation> chain = {{&rel_r_->tree(), rects_r_},
+                                           {&rel_s_->tree(), rects_s_},
+                                           {&rel_t_->tree(), rects_t_}};
+  JoinOptions jopt;
+  const JoinRunResult pair_ref =
+      RunSpatialJoin(rel_r_->tree(), rel_s_->tree(), jopt, true);
+  MultiwayJoinResult chain_ref = RunChainSpatialJoin(chain, jopt, true);
+  std::sort(chain_ref.tuples.begin(), chain_ref.tuples.end());
+
+  QueryEngine::Options opt = EngineOptions();
+  opt.session_threads = 1;
+  QueryEngine engine(opt);
+  // One batch each: the pairwise session reads from a cold pool, and the
+  // chain session still has relation T to read, so both pay modeled I/O.
+  QuerySpec pair_spec;
+  pair_spec.relations = {chain[0], chain[1]};
+  QuerySession* pair = engine.Submit(std::move(pair_spec));
+  engine.WaitAll();
+  QuerySpec chain_spec;
+  chain_spec.relations = chain;
+  QuerySession* tri = engine.Submit(std::move(chain_spec));
+  engine.WaitAll();
+
+  ASSERT_EQ(pair->state(), SessionState::kFinished);
+  const QueryOutcome& p = pair->outcome();
+  EXPECT_TRUE(p.planned);
+  EXPECT_EQ(p.result_count, pair_ref.pair_count);
+  EXPECT_EQ(testutil::Canonical(p.pair.chunks),
+            testutil::Canonical(pair_ref.chunks));
+  EXPECT_TRUE(p.pair.used_shared_pool);
+  EXPECT_EQ(p.pair.task_count, 1u);
+  EXPECT_GT(p.modeled_elapsed_micros, 0u);
+
+  ASSERT_EQ(tri->state(), SessionState::kFinished);
+  const QueryOutcome& c = tri->outcome();
+  ASSERT_TRUE(c.is_chain);
+  EXPECT_TRUE(c.planned);
+  EXPECT_EQ(c.result_count, chain_ref.tuple_count);
+  auto tuples = c.chain.tuples;
+  std::sort(tuples.begin(), tuples.end());
+  EXPECT_EQ(tuples, chain_ref.tuples);
+  EXPECT_GT(c.modeled_elapsed_micros, 0u);
+}
+
+TEST(QueryEngineDeathTest, RejectsZeroSessionThreads) {
+  QueryEngine::Options opt;
+  opt.session_threads = 0;
+  EXPECT_DEATH(QueryEngine engine(opt), "session_threads >= 1");
 }
 
 TEST_F(QueryEngineTest, AdmissionQueuesAndShedsDeterministically) {

@@ -4,15 +4,21 @@
 // sequential engine across algorithms, thread counts and pool modes.
 
 #include <atomic>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "exec/multiway_executor.h"
 #include "exec/parallel_executor.h"
 #include "exec/partition.h"
 #include "exec/result_sink.h"
 #include "exec/task_scheduler.h"
+#include "io/io_scheduler.h"
+#include "io/prefetcher.h"
 #include "join/join_runner.h"
+#include "join/spatial_join.h"
 #include "storage/buffer_pool.h"
 #include "storage/shared_buffer_pool.h"
 #include "tests/test_util.h"
@@ -409,6 +415,23 @@ class ParallelExecutorTest : public ::testing::Test {
 IndexedRelation* ParallelExecutorTest::r_ = nullptr;
 IndexedRelation* ParallelExecutorTest::s_ = nullptr;
 
+// The counters the paper reports; a one-worker executor run must
+// reproduce each of them exactly.
+void ExpectSameCounters(const Statistics& got, const Statistics& want,
+                        const std::string& what) {
+  EXPECT_EQ(got.disk_reads, want.disk_reads) << what;
+  EXPECT_EQ(got.buffer_hits, want.buffer_hits) << what;
+  EXPECT_EQ(got.join_comparisons.count(), want.join_comparisons.count())
+      << what;
+  EXPECT_EQ(got.sort_comparisons.count(), want.sort_comparisons.count())
+      << what;
+  EXPECT_EQ(got.schedule_comparisons.count(),
+            want.schedule_comparisons.count())
+      << what;
+  EXPECT_EQ(got.node_pairs, want.node_pairs) << what;
+  EXPECT_EQ(got.output_pairs, want.output_pairs) << what;
+}
+
 TEST_F(ParallelExecutorTest, MatchesSequentialForAllAlgorithmsAndModes) {
   for (const JoinAlgorithm alg :
        {JoinAlgorithm::kSJ1, JoinAlgorithm::kSJ2,
@@ -435,6 +458,14 @@ TEST_F(ParallelExecutorTest, MatchesSequentialForAllAlgorithmsAndModes) {
             << JoinAlgorithmName(alg) << " threads=" << threads
             << " shared=" << shared;
         EXPECT_EQ(parallel.total_stats.output_pairs, parallel.pair_count);
+        if (threads == 1) {
+          // One worker is the paper's run: one private pool, one task.
+          const std::string what = std::string(JoinAlgorithmName(alg)) +
+                                   " shared=" + (shared ? "1" : "0");
+          ExpectSameCounters(parallel.total_stats, sequential.stats, what);
+          EXPECT_FALSE(parallel.used_shared_pool) << what;
+          EXPECT_EQ(parallel.task_count, 1u) << what;
+        }
       }
     }
   }
@@ -481,6 +512,86 @@ TEST_F(ParallelExecutorTest, RejectsZeroChunkCapacity) {
   exec.chunk_capacity = 0;
   EXPECT_DEATH(RunParallelSpatialJoin(r_->tree(), s_->tree(), jopt, exec),
                "chunk_capacity >= 1");
+}
+
+TEST_F(ParallelExecutorTest, RejectsZeroThreads) {
+  JoinOptions jopt;
+  ParallelExecutorOptions exec;
+  exec.num_threads = 0;
+  EXPECT_DEATH(RunParallelSpatialJoin(r_->tree(), s_->tree(), jopt, exec),
+               "num_threads >= 1");
+}
+
+TEST_F(ParallelExecutorTest, ChainRejectsZeroThreads) {
+  const std::vector<Rect> rects = testutil::ClusteredRects(300, 945);
+  RTreeOptions topt;
+  topt.page_size = kPageSize1K;
+  const IndexedRelation rel(rects, topt);
+  const std::vector<JoinRelation> chain = {
+      {&rel.tree(), &rects}, {&rel.tree(), &rects}, {&rel.tree(), &rects}};
+  JoinOptions jopt;
+  ParallelExecutorOptions exec;
+  exec.num_threads = 0;
+  EXPECT_DEATH(RunParallelChainSpatialJoin(chain, jopt, exec),
+               "num_threads >= 1");
+}
+
+TEST_F(ParallelExecutorTest, OneWorkerOverModeledIoMatchesHandBuiltRun) {
+  JoinOptions jopt;
+  jopt.algorithm = JoinAlgorithm::kSJ4;
+  jopt.buffer_bytes = 32 * 1024;
+  for (const bool prefetch : {false, true}) {
+    const std::string what = prefetch ? "prefetch" : "sync";
+    // Reference: the paper's engine over one private pool on the modeled
+    // disk array, wired by hand.
+    Statistics ref;
+    ResultChunkList ref_chunks;
+    uint64_t ref_elapsed = 0;
+    {
+      IoScheduler io(IoScheduler::Options{.disks = {.disk_count = 2}});
+      const uint64_t clock_before = io.NowMicros();
+      {
+        BufferPool pool(BufferPool::Options{jopt.buffer_bytes, kPageSize1K,
+                                            jopt.eviction_policy},
+                        &ref);
+        pool.AttachIoScheduler(&io);
+        Prefetcher prefetcher(&pool, Prefetcher::Options{16});
+        SpatialJoinEngine engine(r_->tree(), s_->tree(), jopt, &pool, &ref);
+        if (prefetch) engine.set_prefetcher(&prefetcher);
+        MaterializingSink sink;
+        engine.Run(&sink);
+        ref_chunks = sink.TakeChunks();
+      }
+      io.Drain();
+      ref_elapsed = io.SynchronizeClocks() - clock_before;
+    }
+
+    ParallelJoinResult one;
+    {
+      IoScheduler io(IoScheduler::Options{.disks = {.disk_count = 2}});
+      ParallelExecutorOptions exec;
+      exec.num_threads = 1;
+      exec.collect_pairs = true;
+      exec.io_scheduler = &io;
+      exec.prefetch = prefetch;
+      exec.prefetch_ahead = 16;
+      one = RunParallelSpatialJoin(r_->tree(), s_->tree(), jopt, exec);
+    }
+    EXPECT_EQ(testutil::Canonical(one.chunks),
+              testutil::Canonical(ref_chunks))
+        << what;
+    ExpectSameCounters(one.total_stats, ref, what);
+    EXPECT_EQ(one.total_stats.prefetch_issued, ref.prefetch_issued) << what;
+    EXPECT_EQ(one.total_stats.prefetch_hits, ref.prefetch_hits) << what;
+    EXPECT_EQ(one.total_stats.prefetch_wasted, ref.prefetch_wasted) << what;
+    EXPECT_GT(one.modeled_elapsed_micros, 0u) << what;
+    if (prefetch) {
+      EXPECT_GT(one.total_stats.prefetch_issued, 0u);
+    } else {
+      // Without read-ahead the modeled clock is deterministic.
+      EXPECT_EQ(one.modeled_elapsed_micros, ref_elapsed);
+    }
+  }
 }
 
 TEST_F(ParallelExecutorTest, EvictionPolicyAblationsParallelize) {

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "exec/parallel_executor.h"
 #include "io/disk_model.h"
 #include "io/io_scheduler.h"
 #include "join/join_runner.h"
@@ -330,26 +331,33 @@ TEST(IoSchedulerTest, PrefetchedJoinWinsModeledTimeOnTwoDisks) {
   jopt.algorithm = JoinAlgorithm::kSJ4;
   jopt.buffer_bytes = 32 * 1024;
 
-  uint64_t elapsed_off = 0;
-  uint64_t elapsed_on = 0;
-  JoinRunResult off;
-  JoinRunResult on;
+  // One worker over a private pool: the paper's sequential run on the
+  // modeled disk array.
+  ParallelExecutorOptions exec;
+  exec.num_threads = 1;
+  exec.shared_pool = false;
+  exec.prefetch_ahead = 16;
+  exec.collect_pairs = true;
+  ParallelJoinResult off;
+  ParallelJoinResult on;
   {
     IoScheduler io(IoScheduler::Options{.disks = {.disk_count = 2}});
-    off = RunSpatialJoinWithIo(r.tree(), s.tree(), jopt, &io,
-                               /*prefetch=*/false, 16, true, &elapsed_off);
+    exec.io_scheduler = &io;
+    exec.prefetch = false;
+    off = RunParallelSpatialJoin(r.tree(), s.tree(), jopt, exec);
   }
   {
     IoScheduler io(IoScheduler::Options{.disks = {.disk_count = 2}});
-    on = RunSpatialJoinWithIo(r.tree(), s.tree(), jopt, &io,
-                              /*prefetch=*/true, 16, true, &elapsed_on);
+    exec.io_scheduler = &io;
+    exec.prefetch = true;
+    on = RunParallelSpatialJoin(r.tree(), s.tree(), jopt, exec);
   }
   EXPECT_EQ(testutil::Canonical(on.chunks),
             testutil::Canonical(off.chunks));
-  EXPECT_GT(on.stats.prefetch_issued, 0u);
-  EXPECT_GT(on.stats.prefetch_hits, 0u);
-  EXPECT_GT(elapsed_off, 0u);
-  EXPECT_LT(elapsed_on, elapsed_off);
+  EXPECT_GT(on.total_stats.prefetch_issued, 0u);
+  EXPECT_GT(on.total_stats.prefetch_hits, 0u);
+  EXPECT_GT(off.modeled_elapsed_micros, 0u);
+  EXPECT_LT(on.modeled_elapsed_micros, off.modeled_elapsed_micros);
   // And both match the plain synchronous engine.
   const auto plain = RunSpatialJoin(r.tree(), s.tree(), jopt, false);
   EXPECT_EQ(off.pair_count, plain.pair_count);

@@ -81,7 +81,7 @@ TEST_F(MultiwayExecTest, MatchesSequentialAcrossThreadsAndPredicates) {
               << "chain=" << chain_len << " threads=" << threads
               << " pipelined=" << pipelined << " "
               << JoinPredicateName(predicate);
-          EXPECT_EQ(parallel.used_pipeline, pipelined && threads > 1);
+          EXPECT_EQ(parallel.used_pipeline, pipelined);
           std::sort(parallel.tuples.begin(), parallel.tuples.end());
           EXPECT_EQ(parallel.tuples, sequential.tuples)
               << "chain=" << chain_len << " threads=" << threads

@@ -2,10 +2,11 @@
 // sequential join across thread counts, work distribution sanity, and
 // degenerate shapes.
 
-#include "join/parallel_join.h"
+#include "exec/parallel_executor.h"
 
 #include <gtest/gtest.h>
 
+#include "join/join_runner.h"
 #include "tests/test_util.h"
 
 namespace rsj {
@@ -50,8 +51,10 @@ TEST_F(ParallelJoinTest, MatchesSequentialAcrossThreadCounts) {
   const auto sequential = RunSpatialJoin(r_->tree(), s_->tree(), jopt, true);
   const auto expected = testutil::Canonical(sequential.chunks);
   for (const unsigned threads : {1u, 2u, 3u, 4u, 8u, 64u}) {
-    auto parallel = RunParallelSpatialJoin(r_->tree(), s_->tree(), jopt,
-                                           threads, /*collect_pairs=*/true);
+    ParallelExecutorOptions exec;
+    exec.num_threads = threads;
+    exec.collect_pairs = true;
+    auto parallel = RunParallelSpatialJoin(r_->tree(), s_->tree(), jopt, exec);
     EXPECT_EQ(parallel.pair_count, sequential.pair_count)
         << threads << " threads";
     EXPECT_EQ(testutil::Canonical(parallel.chunks), expected)
@@ -62,8 +65,10 @@ TEST_F(ParallelJoinTest, MatchesSequentialAcrossThreadCounts) {
 TEST_F(ParallelJoinTest, WorkIsActuallyDistributed) {
   JoinOptions jopt;
   jopt.algorithm = JoinAlgorithm::kSJ4;
+  ParallelExecutorOptions exec;
+  exec.num_threads = 4;
   const auto result =
-      RunParallelSpatialJoin(r_->tree(), s_->tree(), jopt, 4);
+      RunParallelSpatialJoin(r_->tree(), s_->tree(), jopt, exec);
   ASSERT_GE(result.worker_stats.size(), 2u);
   // The depth-adaptive partitioner must produce enough tasks for every
   // worker, and stealing guarantees each worker executes at least one.
@@ -90,8 +95,10 @@ TEST_F(ParallelJoinTest, AllAlgorithmsParallelize) {
     JoinOptions jopt;
     jopt.algorithm = alg;
     const auto sequential = RunSpatialJoin(r_->tree(), s_->tree(), jopt);
+    ParallelExecutorOptions exec;
+    exec.num_threads = 4;
     const auto parallel =
-        RunParallelSpatialJoin(r_->tree(), s_->tree(), jopt, 4);
+        RunParallelSpatialJoin(r_->tree(), s_->tree(), jopt, exec);
     EXPECT_EQ(parallel.pair_count, sequential.pair_count)
         << JoinAlgorithmName(alg);
   }
@@ -105,8 +112,10 @@ TEST(ParallelJoinEdgeTest, LeafRootFallsBackToSequential) {
   JoinOptions jopt;
   jopt.algorithm = JoinAlgorithm::kSJ4;
   const auto sequential = RunSpatialJoin(tiny.tree(), big.tree(), jopt, true);
-  auto parallel = RunParallelSpatialJoin(tiny.tree(), big.tree(), jopt, 8,
-                                         /*collect_pairs=*/true);
+  ParallelExecutorOptions exec;
+  exec.num_threads = 8;
+  exec.collect_pairs = true;
+  auto parallel = RunParallelSpatialJoin(tiny.tree(), big.tree(), jopt, exec);
   EXPECT_EQ(parallel.pair_count, sequential.pair_count);
   EXPECT_EQ(testutil::Canonical(parallel.chunks),
             testutil::Canonical(sequential.chunks));
@@ -118,9 +127,15 @@ TEST(ParallelJoinEdgeTest, EmptyTrees) {
   IndexedRelation empty(std::vector<Rect>{}, topt);
   IndexedRelation other(testutil::RandomRects(100, 915), topt);
   JoinOptions jopt;
-  EXPECT_EQ(RunParallelSpatialJoin(empty.tree(), other.tree(), jopt, 4)
-                .pair_count,
-            0u);
+  for (const unsigned threads : {1u, 4u}) {
+    ParallelExecutorOptions exec;
+    exec.num_threads = threads;
+    EXPECT_EQ(
+        RunParallelSpatialJoin(empty.tree(), other.tree(), jopt, exec)
+            .pair_count,
+        0u)
+        << threads << " threads";
+  }
 }
 
 TEST(ParallelJoinEdgeTest, DistanceJoinParallelizes) {
@@ -135,8 +150,10 @@ TEST(ParallelJoinEdgeTest, DistanceJoinParallelizes) {
   jopt.predicate = JoinPredicate::kWithinDistance;
   jopt.epsilon = 0.01;
   const auto sequential = RunSpatialJoin(r.tree(), s.tree(), jopt, true);
-  auto parallel =
-      RunParallelSpatialJoin(r.tree(), s.tree(), jopt, 6, true);
+  ParallelExecutorOptions exec;
+  exec.num_threads = 6;
+  exec.collect_pairs = true;
+  auto parallel = RunParallelSpatialJoin(r.tree(), s.tree(), jopt, exec);
   EXPECT_EQ(testutil::Canonical(parallel.chunks),
             testutil::Canonical(sequential.chunks));
 }

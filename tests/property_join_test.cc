@@ -30,8 +30,8 @@
 #include "exec/multiway_executor.h"
 #include "geom/comparison_counter.h"
 #include "geom/segment.h"
+#include "exec/parallel_executor.h"
 #include "join/join_runner.h"
-#include "join/parallel_join.h"
 #include "join/predicate.h"
 #include "join/refinement.h"
 #include "test_util.h"
@@ -157,8 +157,11 @@ TEST(PropertyJoin, AllExecutorsMatchBruteForceOracle) {
           << JoinAlgorithmName(algorithm);
     }
 
+    ParallelExecutorOptions exec;
+    exec.num_threads = 3;
+    exec.collect_pairs = true;
     const ParallelJoinResult par =
-        RunParallelSpatialJoin(ri.tree(), si.tree(), w.join, 3, true);
+        RunParallelSpatialJoin(ri.tree(), si.tree(), w.join, exec);
     EXPECT_EQ(testutil::Canonical(par.chunks), expected) << "parallel";
 
     ShardedJoinOptions sopt;
@@ -318,7 +321,7 @@ TEST(PropertyJoin, ParallelChainMatchesNestedLoopOracle) {
             const ParallelChainJoinResult got =
                 RunParallelChainSpatialJoin(chain, join, exec, true);
             std::vector<std::vector<uint32_t>> tuples = got.tuples;
-            if (spill && threads > 1) {
+            if (spill) {
               EXPECT_TRUE(got.tuples.empty());
               Statistics read_stats;
               tuples = got.spilled_tuples.CopyTuples(&read_stats);
