@@ -14,8 +14,6 @@ const char* MemoryCategoryName(MemoryCategory category) {
       return "session_reservations";
     case MemoryCategory::kRasterSignatures:
       return "raster_signatures";
-    case MemoryCategory::kShardBuild:
-      return "shard_build";
   }
   return "unknown";
 }
@@ -36,8 +34,6 @@ const char* GovernorCounterName(MemoryCategory category) {
       return "governor/session_reservations";
     case MemoryCategory::kRasterSignatures:
       return "governor/raster_signatures";
-    case MemoryCategory::kShardBuild:
-      return "governor/shard_build";
   }
   return "governor/unknown";
 }

@@ -56,10 +56,9 @@ enum class MemoryCategory : unsigned {
   kCacheFrames = 2,          // buffer pool pages + decoded-node frames
   kSessionReservations = 3,  // whole-session working-set reservations
   kRasterSignatures = 4,     // raster-interval refinement signatures
-  kShardBuild = 5,           // shard-build staging buffers (src/shard/)
 };
 
-inline constexpr unsigned kMemoryCategoryCount = 6;
+inline constexpr unsigned kMemoryCategoryCount = 5;
 
 const char* MemoryCategoryName(MemoryCategory category);
 

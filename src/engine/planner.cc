@@ -92,13 +92,13 @@ std::string PlanChoice::Describe() const {
                 "plan{algo=%s pipelined=%d spill=%d budget=%zu prefetch=%d "
                 "ahead=%zu raster=%d bits=%u "
                 "est{node_pairs=%.1f page_reads=%.1f sj1_cmp=%.1f "
-                "result=%.1f build_cmp=%.1f peak_tuples=%.1f}}",
+                "result=%.1f peak_tuples=%.1f}}",
                 JoinAlgorithmName(algorithm), pipelined ? 1 : 0,
                 spill ? 1 : 0, spill_budget_chunks, prefetch ? 1 : 0,
                 prefetch_ahead, refine_raster ? 1 : 0, raster_grid_bits,
                 estimate.node_pairs, estimate.page_reads,
                 estimate.sj1_comparisons, estimate.result_pairs,
-                estimate.build_comparisons, peak_intermediate_tuples);
+                peak_intermediate_tuples);
   return std::string(buf);
 }
 

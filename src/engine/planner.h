@@ -39,10 +39,6 @@
 //                 exact-only on tests A, B and E at scales 0.05–1.0, as
 //                 signatures cost more than the short-chain tests they save.
 //
-// Declustered execution (src/shard/) is not a planner decision: its
-// wall-clock speedup over one tree pair was 0.32–0.54× (bench_decluster,
-// scale 1.0), so RunShardedSpatialJoin stays a hand-invoked API.
-//
 // PlanChoice::Describe() serializes the choice AND the estimator inputs
 // that produced it — the engine stores it per session, so every decision
 // is auditable after the fact.

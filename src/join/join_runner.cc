@@ -23,34 +23,6 @@ void RunSpatialJoin(const RTree& r, const RTree& s, const JoinOptions& options,
   engine.Run(sink);
 }
 
-JoinRunResult RunShardedSpatialJoin(std::span<const Rect> r_rects,
-                                    std::span<const Rect> s_rects,
-                                    const DeclusterOptions& decluster,
-                                    const RTreeOptions& tree_options,
-                                    const ShardedJoinOptions& options) {
-  JoinRunResult result;
-  const Declustering decl =
-      Declustering::Build(r_rects, s_rects, decluster);
-  // Only the probing (R) side replicates with the predicate expansion:
-  // the traversal grows R rectangles by ε, so an S object never needs to
-  // reach beyond its own tiles to be found.
-  ShardBuildOptions r_build;
-  r_build.tree = tree_options;
-  r_build.expansion =
-      PredicateExpansion(options.join.predicate, options.join.epsilon);
-  r_build.governor = options.exec.memory_governor;
-  ShardBuildOptions s_build;
-  s_build.tree = tree_options;
-  s_build.governor = options.exec.memory_governor;
-  const ShardedDataset r(&decl, r_rects, r_build, &result.stats);
-  const ShardedDataset s(&decl, s_rects, s_build, &result.stats);
-  ShardedJoinResult joined = RunShardedSpatialJoin(r, s, options);
-  result.pair_count = joined.pair_count;
-  result.chunks = std::move(joined.chunks);
-  result.stats.MergeFrom(joined.stats);
-  return result;
-}
-
 JoinRunResult RunSpatialJoin(const RTree& r, const RTree& s,
                              const JoinOptions& options, bool collect_pairs) {
   JoinRunResult result;

@@ -11,7 +11,6 @@
 #include "join/join_options.h"
 #include "join/spatial_join.h"
 #include "rtree/rtree.h"
-#include "shard/sharded_join.h"
 #include "storage/statistics.h"
 
 namespace rsj {
@@ -43,21 +42,6 @@ JoinRunResult RunSpatialJoin(const RTree& r, const RTree& s,
 // over this one.
 void RunSpatialJoin(const RTree& r, const RTree& s, const JoinOptions& options,
                     ResultSink* sink, Statistics* stats);
-
-// One-call declustered entry (src/shard/): builds one Declustering over
-// both rectangle sets, distributes each side into per-shard STR-loaded
-// trees of `tree_options` (the probing side's replication grown by the
-// predicate expansion, so within-distance works across shard borders),
-// and runs the reference-point-deduplicated shard-pair joins. Object ids
-// are positions, exactly as in BuildRTree, and the result multiset is
-// identical to RunSpatialJoin over two single trees. The result stats
-// carry the build counters (sh_shards_built, sh_objects_replicated) and
-// the join ledger (sh_raw_pairs, sh_dedup_suppressed) in one place.
-JoinRunResult RunShardedSpatialJoin(std::span<const Rect> r_rects,
-                                    std::span<const Rect> s_rects,
-                                    const DeclusterOptions& decluster,
-                                    const RTreeOptions& tree_options,
-                                    const ShardedJoinOptions& options);
 
 // A relation bundled with its index (convenience owner used by examples
 // and benchmarks; keeps file + tree lifetimes together).

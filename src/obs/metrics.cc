@@ -7,87 +7,18 @@
 #include "io/io_scheduler.h"
 
 namespace rsj {
-namespace {
-
-// Shorthand for the descriptor table: plain uint64 fields and
-// ComparisonCounter fields get uniform accessors via member pointers.
-template <uint64_t Statistics::* Field>
-constexpr StatisticsCounterDesc Plain(const char* name, MetricMergeKind merge) {
-  return StatisticsCounterDesc{
-      name, merge, [](const Statistics& s) { return s.*Field; },
-      [](Statistics& s, uint64_t v) { s.*Field = v; }};
-}
-
-template <ComparisonCounter Statistics::* Field>
-constexpr StatisticsCounterDesc Comparisons(const char* name) {
-  return StatisticsCounterDesc{
-      name, MetricMergeKind::kSum,
-      [](const Statistics& s) { return (s.*Field).count(); },
-      [](Statistics& s, uint64_t v) {
-        (s.*Field).Reset();
-        (s.*Field).Add(v);
-      }};
-}
-
-}  // namespace
 
 const std::vector<StatisticsCounterDesc>& StatisticsCounters() {
-  // Order follows the struct (and docs/METRICS.md). A counter added to
-  // Statistics without a row here fails metrics_test's completeness
-  // check; a counter added without a docs/METRICS.md row fails the
-  // check_metrics_docs.py lint.
+#define RSJ_COUNTER_DESC(type, name, merge, label)                     \
+  StatisticsCounterDesc{                                               \
+      #name, MetricMergeKind::merge,                                   \
+      [](const Statistics& s) {                                        \
+        return Statistics::CounterValue(s.name);                       \
+      },                                                               \
+      [](Statistics& s, uint64_t v) { Statistics::SetCounter(s.name, v); }},
   static const std::vector<StatisticsCounterDesc> kCounters = {
-      Plain<&Statistics::disk_reads>("disk_reads", MetricMergeKind::kSum),
-      Plain<&Statistics::disk_writes>("disk_writes", MetricMergeKind::kSum),
-      Plain<&Statistics::buffer_hits>("buffer_hits", MetricMergeKind::kSum),
-      Plain<&Statistics::buffer_evictions>("buffer_evictions",
-                                           MetricMergeKind::kSum),
-      Plain<&Statistics::pin_count>("pin_count", MetricMergeKind::kSum),
-      Plain<&Statistics::node_decodes>("node_decodes", MetricMergeKind::kSum),
-      Plain<&Statistics::node_cache_hits>("node_cache_hits",
-                                          MetricMergeKind::kSum),
-      Plain<&Statistics::prefetch_issued>("prefetch_issued",
-                                          MetricMergeKind::kSum),
-      Plain<&Statistics::prefetch_hits>("prefetch_hits",
-                                        MetricMergeKind::kSum),
-      Plain<&Statistics::prefetch_wasted>("prefetch_wasted",
-                                          MetricMergeKind::kSum),
-      Plain<&Statistics::io_batches>("io_batches", MetricMergeKind::kSum),
-      Plain<&Statistics::modeled_io_micros>("modeled_io_micros",
-                                            MetricMergeKind::kSum),
-      Comparisons<&Statistics::join_comparisons>("join_comparisons"),
-      Comparisons<&Statistics::sort_comparisons>("sort_comparisons"),
-      Comparisons<&Statistics::schedule_comparisons>("schedule_comparisons"),
-      Plain<&Statistics::output_pairs>("output_pairs", MetricMergeKind::kSum),
-      Plain<&Statistics::node_pairs>("node_pairs", MetricMergeKind::kSum),
-      Plain<&Statistics::window_queries>("window_queries",
-                                         MetricMergeKind::kSum),
-      Plain<&Statistics::ri_signatures_built>("ri_signatures_built",
-                                              MetricMergeKind::kSum),
-      Plain<&Statistics::ri_signature_bytes>("ri_signature_bytes",
-                                             MetricMergeKind::kSum),
-      Plain<&Statistics::ri_true_hits>("ri_true_hits", MetricMergeKind::kSum),
-      Plain<&Statistics::ri_rejects>("ri_rejects", MetricMergeKind::kSum),
-      Plain<&Statistics::ri_inconclusive>("ri_inconclusive",
-                                          MetricMergeKind::kSum),
-      Plain<&Statistics::ri_exact_tests_avoided>("ri_exact_tests_avoided",
-                                                 MetricMergeKind::kSum),
-      Plain<&Statistics::frontier_peak_tuples>("frontier_peak_tuples",
-                                               MetricMergeKind::kMax),
-      Plain<&Statistics::result_chunks_spilled>("result_chunks_spilled",
-                                                MetricMergeKind::kSum),
-      Plain<&Statistics::result_spill_bytes>("result_spill_bytes",
-                                             MetricMergeKind::kSum),
-      Plain<&Statistics::result_peak_chunks_resident>(
-          "result_peak_chunks_resident", MetricMergeKind::kMax),
-      Plain<&Statistics::sh_shards_built>("sh_shards_built",
-                                          MetricMergeKind::kSum),
-      Plain<&Statistics::sh_objects_replicated>("sh_objects_replicated",
-                                                MetricMergeKind::kSum),
-      Plain<&Statistics::sh_raw_pairs>("sh_raw_pairs", MetricMergeKind::kSum),
-      Plain<&Statistics::sh_dedup_suppressed>("sh_dedup_suppressed",
-                                              MetricMergeKind::kSum),
-  };
+      RSJ_STATISTICS_COUNTERS(RSJ_COUNTER_DESC)};
+#undef RSJ_COUNTER_DESC
   return kCounters;
 }
 

@@ -6,12 +6,11 @@
 // high-water marks take MAX). This module makes those semantics
 // first-class data:
 //
-//   * `StatisticsCounters()` — the canonical descriptor table of every
-//     `Statistics` counter: name, merge kind, getter, setter. The
-//     metrics test iterates it to prove `MetricsRegistry::MergeFrom`
-//     and `Statistics::MergeFrom` agree counter by counter, and the
-//     docs lint (tools/check_metrics_docs.py) keeps it in lockstep
-//     with docs/METRICS.md.
+//   * `StatisticsCounters()` — the descriptor table of every
+//     `Statistics` counter (name, merge kind, getter, setter), expanded
+//     from RSJ_STATISTICS_COUNTERS. The metrics test iterates it to
+//     prove `MetricsRegistry::MergeFrom` and `Statistics::MergeFrom`
+//     agree counter by counter.
 //   * `MetricsRegistry` — named counters (with an explicit merge kind),
 //     gauges, and log2-bucket latency histograms; `MergeFrom` combines
 //     registries honoring each counter's kind; `PrometheusText()`
@@ -40,13 +39,6 @@ class IoScheduler;
 class MemoryGovernor;
 class SessionTaskPool;
 
-// How two samples of the same counter combine — mirrors the Merge column
-// of docs/METRICS.md: volumes add, high-water marks take the maximum.
-enum class MetricMergeKind {
-  kSum,
-  kMax,
-};
-
 // One `Statistics` counter: its docs/METRICS.md name, merge kind, and
 // accessors (the setter exists so tests can drive MergeFrom parity
 // checks programmatically over the whole table).
@@ -57,7 +49,7 @@ struct StatisticsCounterDesc {
   void (*set)(Statistics&, uint64_t);
 };
 
-// The canonical table: every counter `Statistics` carries, exactly once.
+// Every counter `Statistics` carries, exactly once, in list order.
 const std::vector<StatisticsCounterDesc>& StatisticsCounters();
 
 // Fixed log2-bucket histogram for latencies: bucket i counts samples

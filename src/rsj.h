@@ -53,8 +53,6 @@
 #include "obs/trace.h"             // IWYU pragma: export
 #include "rtree/knn.h"             // IWYU pragma: export
 #include "rtree/rtree.h"           // IWYU pragma: export
-#include "shard/decluster.h"       // IWYU pragma: export
-#include "shard/sharded_join.h"    // IWYU pragma: export
 #include "storage/buffer_pool.h"   // IWYU pragma: export
 #include "storage/cost_model.h"    // IWYU pragma: export
 #include "storage/node_cache.h"    // IWYU pragma: export

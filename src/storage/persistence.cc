@@ -126,6 +126,11 @@ std::optional<LoadedRelation> LoadIndexedRelation(const std::string& path) {
   loaded.tree = std::make_unique<RTree>(
       RTree::Attach(loaded.file.get(), options, header.root_page,
                     header.height, header.tree_size));
+  // The header checksum does not cover the pages: a child reference past
+  // the file would crash the first join, and a stored MBR that is not its
+  // child's union would silently drop results. Validate() bounds-checks
+  // every reference before decoding it, so a broken tree is rejected here.
+  if (!loaded.tree->Validate().empty()) return std::nullopt;
   return loaded;
 }
 

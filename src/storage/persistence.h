@@ -3,8 +3,9 @@
 // The experiments run against simulated storage, but a library a user
 // adopts must survive a process restart. The format is a fixed header
 // (magic, version, page size, page count, tree metadata, header checksum)
-// followed by the raw pages. Loading verifies magic, version and checksum
-// and re-attaches an `RTree` to the loaded `PagedFile`.
+// followed by the raw pages. Loading verifies magic, version and checksum,
+// re-attaches an `RTree` to the loaded `PagedFile`, and checks the tree's
+// structure with `RTree::Validate()`.
 
 #ifndef RSJ_STORAGE_PERSISTENCE_H_
 #define RSJ_STORAGE_PERSISTENCE_H_
@@ -37,7 +38,9 @@ struct LoadedRelation {
 };
 
 // Reads a file written by SaveIndexedRelation. Returns std::nullopt when
-// the file is missing, truncated, or fails validation.
+// the file is missing, truncated, fails the header checks, or holds a tree
+// that RTree::Validate() reports a violation for (a child reference
+// outside the file, a stored MBR that is not its child's union, ...).
 std::optional<LoadedRelation> LoadIndexedRelation(const std::string& path);
 
 }  // namespace rsj

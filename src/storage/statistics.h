@@ -17,71 +17,94 @@
 
 namespace rsj {
 
+// How two samples of the same counter combine (docs/METRICS.md's Merge
+// column): volumes add, high-water marks take the maximum — concurrent
+// actors share one peak.
+enum class MetricMergeKind {
+  kSum,
+  kMax,
+};
+
+// Every counter `Statistics` carries, declared once. Each row is
+//
+//   X(type, name, merge, label)
+//
+//   type  — uint64_t, or ComparisonCounter for the paper's comparison
+//           counts;
+//   name  — the field, also the counter's docs/METRICS.md and metrics
+//           registry name (rsj_<name>);
+//   merge — kSum for volumes, kMax for high-water marks (MetricMergeKind);
+//   label — its line in ToString().
+//
+// The struct fields, MergeFrom, ToString and the StatisticsCounters()
+// table (obs/metrics.h) all expand from this list, and
+// tools/check_metrics_docs.py reads it to require a docs/METRICS.md row
+// per counter.
+//
+// Two-tier refinement (geom/raster_interval.h): per candidate pair exactly
+// one of {ri_true_hits, ri_rejects, ri_inconclusive} increments, so
+// ri_exact_tests_avoided == ri_true_hits + ri_rejects always holds.
+// frontier_peak_tuples is the peak of live intermediate tuples of a chain
+// join (whole frontiers when materialized, chunks in flight when
+// pipelined). result_peak_chunks_resident is the peak of completed result
+// chunks held in memory by the run's output path (spilling sinks cap it at
+// their budget; materialized runs count their whole output).
+#define RSJ_STATISTICS_COUNTERS(X)                                           \
+  /* --- I/O --- */                                                          \
+  X(uint64_t, disk_reads, kSum, "disk reads")      /* "disk accesses" */     \
+  X(uint64_t, disk_writes, kSum, "disk writes")    /* physical writes */     \
+  X(uint64_t, buffer_hits, kSum, "buffer hits")    /* served by the LRU */   \
+  X(uint64_t, buffer_evictions, kSum, "evictions") /* pages dropped */       \
+  X(uint64_t, pin_count, kSum, "pins")             /* SJ4/SJ5 pinning */     \
+  /* --- decoding (storage/node_cache.h) --- */                              \
+  X(uint64_t, node_decodes, kSum, "node decodes")                            \
+  X(uint64_t, node_cache_hits, kSum, "node cache hits") /* decodes saved */  \
+  /* --- simulated asynchronous I/O (src/io/) --- */                         \
+  X(uint64_t, prefetch_issued, kSum, "prefetch issued")                      \
+  X(uint64_t, prefetch_hits, kSum, "prefetch hits")                          \
+  X(uint64_t, prefetch_wasted, kSum, "prefetch wasted") /* evicted unused */ \
+  X(uint64_t, io_batches, kSum, "io batches")                                \
+  X(uint64_t, modeled_io_micros, kSum, "modeled io stall (us)")              \
+  /* --- CPU (floating point comparisons, the paper's metric) --- */         \
+  X(ComparisonCounter, join_comparisons, kSum, "join comparisons")           \
+  X(ComparisonCounter, sort_comparisons, kSum, "sort comparisons")           \
+  X(ComparisonCounter, schedule_comparisons, kSum, "sched comparisons")      \
+  /* --- join bookkeeping --- */                                             \
+  X(uint64_t, output_pairs, kSum, "output pairs")                            \
+  X(uint64_t, node_pairs, kSum, "node pairs")                                \
+  X(uint64_t, window_queries, kSum, "window queries")                        \
+  /* --- two-tier refinement (geom/raster_interval.h) --- */                 \
+  X(uint64_t, ri_signatures_built, kSum, "ri signatures")                    \
+  X(uint64_t, ri_signature_bytes, kSum, "ri signature bytes")                \
+  X(uint64_t, ri_true_hits, kSum, "ri true hits")                            \
+  X(uint64_t, ri_rejects, kSum, "ri rejects")                                \
+  X(uint64_t, ri_inconclusive, kSum, "ri inconclusive")                      \
+  X(uint64_t, ri_exact_tests_avoided, kSum, "ri tests avoided")              \
+  /* --- multi-way chain join --- */                                         \
+  X(uint64_t, frontier_peak_tuples, kMax, "frontier peak (tuples)")          \
+  /* --- spill-to-disk result path (exec/spill_sink.h) --- */                \
+  X(uint64_t, result_chunks_spilled, kSum, "chunks spilled")                 \
+  X(uint64_t, result_spill_bytes, kSum, "spill bytes") /* page-granular */   \
+  X(uint64_t, result_peak_chunks_resident, kMax, "resident peak (chunks)")
+
 struct Statistics {
-  // --- I/O ---
-  uint64_t disk_reads = 0;         // physical page reads ("disk accesses")
-  uint64_t disk_writes = 0;        // physical page writes
-  uint64_t buffer_hits = 0;        // reads served from the LRU buffer
-  uint64_t buffer_evictions = 0;   // pages dropped from the buffer
-  uint64_t pin_count = 0;          // Pin() events (SJ4/SJ5 page pinning)
+#define RSJ_DECLARE_COUNTER(type, name, merge, label) type name{};
+  RSJ_STATISTICS_COUNTERS(RSJ_DECLARE_COUNTER)
+#undef RSJ_DECLARE_COUNTER
 
-  // --- decoding (storage/node_cache.h) ---
-  uint64_t node_decodes = 0;     // page payloads decoded into Nodes
-  uint64_t node_cache_hits = 0;  // decodes avoided by the shared node cache
-
-  // --- simulated asynchronous I/O (src/io/) ---
-  uint64_t prefetch_issued = 0;    // async read-aheads actually issued
-  uint64_t prefetch_hits = 0;      // consumer requests served by a prefetch
-  uint64_t prefetch_wasted = 0;    // prefetched frames evicted unconsumed
-  uint64_t io_batches = 0;         // request batches the I/O workers took
-  uint64_t modeled_io_micros = 0;  // modeled stall waiting for the disks
-
-  // --- CPU (floating point comparisons, the paper's metric) ---
-  ComparisonCounter join_comparisons;      // join-condition tests + marking
-  ComparisonCounter sort_comparisons;      // sorting node entries by xl
-  ComparisonCounter schedule_comparisons;  // z-order schedule computation
-
-  // --- join bookkeeping ---
-  uint64_t output_pairs = 0;    // result pairs emitted
-  uint64_t node_pairs = 0;      // node pairs processed by the recursion
-  uint64_t window_queries = 0;  // window queries issued (different heights)
-
-  // --- two-tier refinement (geom/raster_interval.h) ---
-  // Per candidate pair exactly one of {true_hits, rejects, inconclusive}
-  // increments, so their sum equals the candidate count the tier saw and
-  // ri_exact_tests_avoided == ri_true_hits + ri_rejects always holds.
-  uint64_t ri_signatures_built = 0;     // object signatures rasterized
-  uint64_t ri_signature_bytes = 0;      // heap bytes of built signatures
-  uint64_t ri_true_hits = 0;            // pairs proven intersecting
-  uint64_t ri_rejects = 0;              // pairs proven disjoint
-  uint64_t ri_inconclusive = 0;         // pairs falling through to exact
-  uint64_t ri_exact_tests_avoided = 0;  // exact tests the tier saved
-
-  // Peak live intermediate tuples of a multi-way chain join: materialized
-  // executions count whole frontiers, the streaming pipeline counts
-  // chunks in flight — the counter that proves the pipeline caps frontier
-  // memory. Merged by MAX (it is a high-water mark, not a volume).
-  uint64_t frontier_peak_tuples = 0;
-
-  // --- spill-to-disk result path (exec/spill_sink.h) ---
-  uint64_t result_chunks_spilled = 0;  // result chunks serialized to disk
-  uint64_t result_spill_bytes = 0;     // bytes written for spilled chunks
-                                       // (page-granular, incl. padding)
-  // High-water mark of completed result chunks held resident in memory by
-  // the run's output path: spilling sinks cap it at their resident budget,
-  // materialized runs count their whole collected output. Merged by MAX
-  // (a high-water mark, like frontier_peak_tuples).
-  uint64_t result_peak_chunks_resident = 0;
-
-  // --- spatial declustering (src/shard/) ---
-  // Replication means a qualifying pair can be discovered by every shard
-  // holding both objects; reference-point dedup forwards it exactly once.
-  // Ledger invariant: sh_raw_pairs == forwarded pairs +
-  // sh_dedup_suppressed for every sharded run.
-  uint64_t sh_shards_built = 0;        // non-empty shard R-trees bulk-loaded
-  uint64_t sh_objects_replicated = 0;  // placements beyond each object's first
-  uint64_t sh_raw_pairs = 0;           // raw shard-pair hits before dedup
-  uint64_t sh_dedup_suppressed = 0;    // hits suppressed by the dedup rule
+  // Uniform access to a counter field of either type, for code expanded
+  // from RSJ_STATISTICS_COUNTERS.
+  static uint64_t CounterValue(uint64_t counter) { return counter; }
+  static uint64_t CounterValue(const ComparisonCounter& counter) {
+    return counter.count();
+  }
+  static void SetCounter(uint64_t& counter, uint64_t value) {
+    counter = value;
+  }
+  static void SetCounter(ComparisonCounter& counter, uint64_t value) {
+    counter.Reset();
+    counter.Add(value);
+  }
 
   // Raises result_peak_chunks_resident to at least `chunks` — the one
   // place the resident-peak convention lives; every output path
@@ -107,11 +130,13 @@ struct Statistics {
 
   void Reset() { *this = Statistics(); }
 
-  // Adds every counter of `other` into this instance. Parallel execution
-  // gives each worker its own Statistics and merges them at the end.
+  // Merges every counter of `other` into this instance by its merge kind.
+  // Parallel execution gives each worker its own Statistics and merges
+  // them at the end.
   void MergeFrom(const Statistics& other);
 
-  // Multi-line human readable dump (used by the examples).
+  // Multi-line human readable dump, one line per counter plus the hit
+  // rate (used by the examples).
   std::string ToString() const;
 };
 

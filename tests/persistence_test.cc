@@ -1,5 +1,6 @@
 // Tests for saving/loading indexed relations: round trips, query
-// equivalence, corruption and truncation detection.
+// equivalence, corruption (header and page bodies) and truncation
+// detection.
 
 #include "storage/persistence.h"
 
@@ -7,8 +8,10 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <memory>
 
 #include "join/join_runner.h"
+#include "rtree/entry.h"
 #include "tests/test_util.h"
 
 namespace rsj {
@@ -143,6 +146,57 @@ TEST_F(PersistenceTest, CorruptedHeaderRejected) {
   const unsigned char garbage = 0xFF;
   std::fwrite(&garbage, 1, 1, f);
   std::fclose(f);
+  EXPECT_FALSE(LoadIndexedRelation(path_.string()).has_value());
+}
+
+// Overwrites `size` bytes of the first entry of the saved root page, at
+// `field_offset` within the entry (0 = xl, 16 = child reference). Pages
+// are the file's tail, one page_size block per allocated page.
+void PatchRootEntry(const std::filesystem::path& path, const PagedFile& file,
+                    PageId root, size_t field_offset, const void* bytes,
+                    size_t size) {
+  const auto file_size = std::filesystem::file_size(path);
+  const auto page_offset =
+      file_size - (file.allocated_pages() - root) * file.page_size();
+  std::FILE* f = std::fopen(path.c_str(), "rb+");
+  ASSERT_NE(f, nullptr);
+  std::fseek(f, static_cast<long>(page_offset + kNodeHeaderBytes +
+                                  field_offset),
+             SEEK_SET);
+  std::fwrite(bytes, size, 1, f);
+  std::fclose(f);
+}
+
+class CorruptPageTest : public PersistenceTest {
+ protected:
+  void SetUp() override {
+    PersistenceTest::SetUp();
+    RTreeOptions topt;
+    topt.page_size = kPageSize1K;
+    file_ = std::make_unique<PagedFile>(topt.page_size);
+    tree_ = std::make_unique<RTree>(
+        BuildRTree(file_.get(), testutil::ClusteredRects(2000, 79), topt));
+    ASSERT_GE(tree_->height(), 2);  // the root holds child references
+    ASSERT_TRUE(SaveIndexedRelation(*file_, MetaOf(*tree_), path_.string()));
+  }
+
+  std::unique_ptr<PagedFile> file_;
+  std::unique_ptr<RTree> tree_;
+};
+
+TEST_F(CorruptPageTest, ChildReferenceOutsideTheFileRejected) {
+  // A join over this tree reads page 0x7ffffff0 of a file with a few
+  // dozen pages.
+  const uint32_t ref = 0x7ffffff0u;
+  PatchRootEntry(path_, *file_, tree_->root_page(), 16, &ref, sizeof(ref));
+  EXPECT_FALSE(LoadIndexedRelation(path_.string()).has_value());
+}
+
+TEST_F(CorruptPageTest, WidenedDirectoryMbrRejected) {
+  // Joins over this tree run without error; the stored MBR no longer
+  // equals its child's union.
+  const Coord xl = -1.0f;
+  PatchRootEntry(path_, *file_, tree_->root_page(), 0, &xl, sizeof(xl));
   EXPECT_FALSE(LoadIndexedRelation(path_.string()).has_value());
 }
 

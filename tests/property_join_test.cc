@@ -8,7 +8,6 @@
 //
 //   SJ1 SJ2 SweepI SJ3 SJ4 SJ5   (sequential engine)
 //   parallel                      (work-stealing executor, 3 threads)
-//   sharded                       (declustered K-shard join, K in 2/4/8)
 //   streaming-refined             (on a seed subset, exact polylines)
 //
 // and requires the SORTED PAIR MULTISET of every variant to equal the
@@ -16,8 +15,7 @@
 // every configuration of the parallel chain executor against a
 // nested-loop chain oracle. Any failure prints the reproducing seed via SCOPED_TRACE.
 // Workloads stay small (40..120 objects) so the full sweep is fast under
-// TSan, where this suite doubles as a race hunt over the parallel and
-// sharded paths.
+// TSan, where this suite doubles as a race hunt over the parallel paths.
 
 #include <algorithm>
 #include <memory>
@@ -45,7 +43,6 @@ struct Workload {
   std::vector<Rect> r;
   std::vector<Rect> s;
   JoinOptions join;
-  unsigned shards = 4;
 };
 
 // Snaps uniform rectangles onto a coarse lattice: many exactly-touching
@@ -112,7 +109,6 @@ Workload MakeWorkload(uint64_t seed) {
     w.join.predicate = JoinPredicate::kWithinDistance;
     w.join.epsilon = rng.Uniform(0.0, 0.15);
   }
-  w.shards = 2u << rng.UniformInt(3);  // 2, 4 or 8
   return w;
 }
 
@@ -163,18 +159,6 @@ TEST(PropertyJoin, AllExecutorsMatchBruteForceOracle) {
     const ParallelJoinResult par =
         RunParallelSpatialJoin(ri.tree(), si.tree(), w.join, exec);
     EXPECT_EQ(testutil::Canonical(par.chunks), expected) << "parallel";
-
-    ShardedJoinOptions sopt;
-    sopt.join = w.join;
-    sopt.exec.num_threads = 2;
-    sopt.exec.collect_pairs = true;
-    const JoinRunResult sharded = RunShardedSpatialJoin(
-        w.r, w.s, DeclusterOptions{w.shards, 8}, topt, sopt);
-    EXPECT_EQ(testutil::Canonical(sharded.chunks), expected)
-        << "sharded K=" << w.shards;
-    EXPECT_EQ(sharded.stats.sh_raw_pairs,
-              sharded.pair_count + sharded.stats.sh_dedup_suppressed)
-        << "sharded ledger K=" << w.shards;
   }
   // The sweep exercised real workloads, not 200 empty intersections.
   EXPECT_GT(total_pairs, 10000u);

@@ -58,6 +58,24 @@ inline std::vector<Rect> ClusteredRects(size_t count, uint64_t seed,
   return rects;
 }
 
+// Skewed rectangles: 80% of them inside the [0, 0.25]^2 corner, the rest
+// uniform over [0,1]^2, with extents up to 0.01.
+inline std::vector<Rect> SkewedRects(size_t count, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Rect> rects;
+  rects.reserve(count);
+  for (size_t i = 0; i < count; ++i) {
+    const double span = rng.Bernoulli(0.8) ? 0.25 : 1.0;
+    const double x = rng.Uniform(0.0, span - 0.01);
+    const double y = rng.Uniform(0.0, span - 0.01);
+    const double w = rng.Uniform(0.0, 0.01);
+    rects.push_back(Rect{static_cast<Coord>(x), static_cast<Coord>(y),
+                         static_cast<Coord>(x + w),
+                         static_cast<Coord>(y + w)});
+  }
+  return rects;
+}
+
 // Sorts a pair list so result sets can be compared as sets.
 inline std::vector<std::pair<uint32_t, uint32_t>> Canonical(
     std::vector<std::pair<uint32_t, uint32_t>> pairs) {

@@ -3,14 +3,13 @@
 
 Checks, failing CI on the first violation:
 
-1. Every counter field of `struct Statistics` (src/storage/statistics.h)
+1. Every counter of the `RSJ_STATISTICS_COUNTERS` list
+   (src/storage/statistics.h) has a backticked entry in docs/METRICS.md.
+   The struct fields, merge, dump and descriptor table all expand from
+   that list, so it is the only place counter names are read from.
+2. Every `MemoryGovernor` category name (src/engine/memory_governor.cc)
    has a backticked entry in docs/METRICS.md.
-2. Every counter in the canonical descriptor table
-   (`StatisticsCounters()`, src/obs/metrics.cc) matches a Statistics
-   field exactly — no stale rows, no missing rows.
-3. Every `MemoryGovernor` category name (src/engine/memory_governor.cc)
-   has a backticked entry in docs/METRICS.md.
-4. Reverse direction: every backticked identifier in the first column of
+3. Reverse direction: every backticked identifier in the first column of
    a docs/METRICS.md table exists somewhere under src/ — documentation
    cannot name counters that no longer exist.
 
@@ -23,38 +22,23 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 STATISTICS_H = REPO / "src" / "storage" / "statistics.h"
-METRICS_CC = REPO / "src" / "obs" / "metrics.cc"
 GOVERNOR_CC = REPO / "src" / "engine" / "memory_governor.cc"
 METRICS_MD = REPO / "docs" / "METRICS.md"
 
 IDENT = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
 
-def statistics_fields():
-    """Counter fields of struct Statistics: plain uint64_t and
-    ComparisonCounter members (derived helpers and methods excluded)."""
+def statistics_counters():
+    """Counter names of the RSJ_STATISTICS_COUNTERS X-macro list."""
     text = STATISTICS_H.read_text()
-    struct = re.search(r"struct Statistics \{(.*?)^\};", text,
-                       re.DOTALL | re.MULTILINE)
-    if not struct:
-        sys.exit(f"{STATISTICS_H}: cannot find struct Statistics")
-    body = struct.group(1)
-    fields = re.findall(r"^\s*uint64_t\s+(\w+)\s*=\s*0\s*;", body,
-                        re.MULTILINE)
-    fields += re.findall(r"^\s*ComparisonCounter\s+(\w+)\s*;", body,
-                         re.MULTILINE)
-    return fields
-
-
-def descriptor_names():
-    """Counter names registered in StatisticsCounters()."""
-    text = METRICS_CC.read_text()
-    table = re.search(
-        r"StatisticsCounters\(\)\s*\{(.*?)return kCounters;", text,
+    macro = re.search(
+        r"#define RSJ_STATISTICS_COUNTERS\(X\)(.*?)(?<!\\)\n", text,
         re.DOTALL)
-    if not table:
-        sys.exit(f"{METRICS_CC}: cannot find StatisticsCounters()")
-    return re.findall(r'>\(\s*"(\w+)"', table.group(1))
+    if not macro:
+        sys.exit(f"{STATISTICS_H}: cannot find RSJ_STATISTICS_COUNTERS")
+    return re.findall(
+        r"X\(\s*(?:uint64_t|ComparisonCounter)\s*,\s*(\w+)\s*,",
+        macro.group(1))
 
 
 def governor_categories():
@@ -101,47 +85,35 @@ def src_identifiers():
 
 def main():
     failures = []
-    fields = statistics_fields()
-    if len(fields) < 20:
+    counters = statistics_counters()
+    if len(counters) < 20:
         failures.append(
-            f"parsed only {len(fields)} Statistics fields — parser broken?")
+            f"parsed only {len(counters)} Statistics counters — parser "
+            f"broken?")
     # Fenced code blocks would break inline-backtick pairing; drop them.
     markdown = re.sub(r"```.*?```", "", METRICS_MD.read_text(),
                       flags=re.DOTALL)
     documented = doc_backticked_tokens(markdown)
 
-    # 1. Statistics fields documented.
-    for field in fields:
-        if field not in documented:
+    # 1. Statistics counters documented.
+    for counter in counters:
+        if counter not in documented:
             failures.append(
-                f"Statistics counter `{field}` has no backticked entry in "
+                f"Statistics counter `{counter}` has no backticked entry in "
                 f"docs/METRICS.md")
 
-    # 2. Descriptor table in lockstep with the struct.
-    described = descriptor_names()
-    for field in fields:
-        if field not in described:
-            failures.append(
-                f"Statistics counter `{field}` missing from "
-                f"StatisticsCounters() (src/obs/metrics.cc)")
-    for name in described:
-        if name not in fields:
-            failures.append(
-                f"StatisticsCounters() row `{name}` does not match any "
-                f"Statistics field (stale?)")
-
-    # 3. Governor categories documented.
+    # 2. Governor categories documented.
     categories = governor_categories()
-    if len(categories) != 6:
+    if len(categories) != 5:
         failures.append(
-            f"parsed {len(categories)} governor categories, expected 6")
+            f"parsed {len(categories)} governor categories, expected 5")
     for category in categories:
         if category not in documented:
             failures.append(
                 f"MemoryGovernor category `{category}` has no backticked "
                 f"entry in docs/METRICS.md")
 
-    # 4. Documented first-column names still exist in the source.
+    # 3. Documented first-column names still exist in the source.
     known = src_identifiers()
     for token in sorted(doc_first_column_tokens(markdown)):
         if token not in known:
@@ -154,9 +126,8 @@ def main():
             print(f"check_metrics_docs: {failure}")
         return 1
     print(
-        f"check_metrics_docs: OK ({len(fields)} Statistics counters, "
-        f"{len(categories)} governor categories, "
-        f"{len(described)} descriptor rows)")
+        f"check_metrics_docs: OK ({len(counters)} Statistics counters, "
+        f"{len(categories)} governor categories)")
     return 0
 
 
